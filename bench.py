@@ -83,9 +83,7 @@ def bench_replay(root: str, P: int) -> dict:
                        pipeline_epochs=int(os.environ.get("GRAFT_PIPELINE", "4")),
                        # 0 = auto plasma-share cap; -1 = off (A/B knob)
                        max_epoch_bytes=int(os.environ.get(
-                           "GRAFT_EPOCH_BYTES", "0")),
-                       replay_mode=os.environ.get("GRAFT_REPLAY_MODE",
-                                                  "single_pass"))
+                           "GRAFT_EPOCH_BYTES", "0")))
     segments = list_segments(cfg.wal_dir)
     raw_events = sum(s.rows for s in segments)
 

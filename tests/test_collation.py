@@ -4,6 +4,7 @@ case). key_collation="ci" makes hashing/partitioning, LWW compaction
 identity and the base-merge anti-join compare the lower-cased key form,
 while stored images keep the winner's own spelling."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -193,3 +194,40 @@ def test_ai_ci_manifest_records_collation(tmp_path):
     exp = oracle.replay_to_table(root, SchemaRegistry([]),
                                  collation="ai_ci")
     assert got.num_rows == exp.num_rows
+
+
+def test_ci_compact_lake_keeps_collation(tmp_path):
+    """Offline compaction folds MoR chains under the lake's collation and
+    keeps it in the manifest it commits, so every later read folds ci."""
+    from tiflow_ray.state.checkpoint import LakeState
+    root = _setup(tmp_path, "ci")
+    _run(root, "ci")
+    lake = os.path.join(root, "lake")
+    assert rp.compact_lake(lake)["parts_folded"] > 0
+    got = _canon(rp.lake_to_table(lake))
+    exp = _canon(oracle.replay_to_table(root, SchemaRegistry([]),
+                                        collation="ci"))
+    assert got.equals(exp), f"{got.num_rows} rows vs ci oracle {exp.num_rows}"
+    assert LakeState(lake).latest().stats.get("key_collation") == "ci"
+
+
+def test_ci_repartition_then_replay_matches_oracle(tmp_path):
+    """repartition_lake re-hashes keys in their collation form — the form
+    the engine routes by — so a replay resumed under the new P merges
+    case variants into the right partitions."""
+    from tiflow_ray.state.checkpoint import LakeState
+    root = _setup(tmp_path, "ci")
+    cfg = ReplayConfig(wal_dir=os.path.join(root, "wal"),
+                       lake_dir=os.path.join(root, "lake"),
+                       num_partitions=8, max_segments_per_epoch=2,
+                       key_collation="ci")
+    rp.bootstrap(cfg, base_dir=os.path.join(root, "base"))
+    assert len(rp.run_replay(cfg, max_epochs=1).epochs) == 1
+    rp.repartition_lake(cfg.lake_dir, 16)
+    cfg16 = dataclasses.replace(cfg, num_partitions=16)
+    assert rp.run_replay(cfg16).epochs, "nothing left to replay"
+    got = _canon(rp.lake_to_table(cfg.lake_dir))
+    exp = _canon(oracle.replay_to_table(root, SchemaRegistry([]),
+                                        collation="ci"))
+    assert got.equals(exp), f"{got.num_rows} rows vs ci oracle {exp.num_rows}"
+    assert LakeState(cfg.lake_dir).latest().stats.get("key_collation") == "ci"

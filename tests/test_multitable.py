@@ -156,26 +156,52 @@ def test_multitable_three_tables_independent_ddl(tmp_path, pipeline):
     assert res2.epochs == []
 
 
-@pytest.mark.parametrize("pipeline", [1, 3])
-def test_multitable_two_pass_matches_oracle(tmp_path, pipeline):
-    """replay_mode='two_pass' on the multi-table path: the thin pass
-    builds per-(table, part) winner-signature blocks, the payload pass
-    keeps only surviving events per tpart. Same doc_id values exist in
-    every table, so a cross-table signature admit would corrupt a lake —
-    per-table oracle equality is the isolation proof."""
+def test_multitable_rejects_config_p_mismatch(tmp_path):
+    """The replay driver is shared, so a multi-table lake laid out at P=8
+    refuses a P=4 config instead of routing every table's keys into the
+    wrong chains; single-table-only sharding knobs are refused too."""
+    import dataclasses
+
     root, regs, base_dirs, wal_dir = _setup(tmp_path)
-    cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=os.path.join(root, "lake2p"),
+    lake = os.path.join(root, "lake")
+    mt.bootstrap_multitable(ReplayConfig(wal_dir=wal_dir, lake_dir=lake,
+                                         num_partitions=8),
+                            regs, base_dirs)
+    cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=lake, num_partitions=4,
+                       max_segments_per_epoch=2)
+    with pytest.raises(ValueError, match="P=8"):
+        mt.run_replay_multitable(cfg)
+    cfg8 = dataclasses.replace(cfg, num_partitions=8)
+    with pytest.raises(ValueError, match="shard_key_mapping"):
+        mt.run_replay_multitable(
+            dataclasses.replace(cfg8, shard_key_mapping={wal_dir: None}))
+    assert LakeState(lake).latest().epoch == 0, "a refused replay committed"
+
+
+def test_multitable_applies_ignore_sources_to_every_table(tmp_path):
+    """The changefeed's filters apply to every table: each table of a
+    multi-table replay with ignore_sources equals the single-table replay
+    of that table's own WAL under the same filter."""
+    from tiflow_ray.pipelines import replay as rp
+
+    root, regs, base_dirs, wal_dir = _setup(tmp_path)
+    drop = frozenset({"s1"})
+    cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=os.path.join(root, "lake"),
                        num_partitions=8, max_segments_per_epoch=2,
-                       pipeline_epochs=pipeline, replay_mode="two_pass",
-                       validate=True)
+                       ignore_sources=drop)
     mt.bootstrap_multitable(cfg, regs, base_dirs)
-    res = mt.run_replay_multitable(cfg)
-    assert res.epochs, "nothing committed"
+    assert mt.run_replay_multitable(cfg).epochs
     for t in sorted(regs):
+        troot = os.path.join(root, f"oracle_{t}")
+        one = ReplayConfig(wal_dir=os.path.join(troot, "wal"),
+                           lake_dir=os.path.join(root, f"lake_{t}"),
+                           num_partitions=8, ignore_sources=drop)
+        rp.bootstrap(one, base_dir=base_dirs[t])
+        rp.run_replay(one)
+        exp = rp.lake_to_table(one.lake_dir)
         got = mt.multitable_lake_to_table(cfg.lake_dir, t)
-        assert got.equals(_expected(root, regs, t)), \
-            f"table {t} diverged from its oracle under two_pass"
-    assert mt.run_replay_multitable(cfg).epochs == []   # idempotent
+        assert not exp.equals(_expected(root, regs, t)), "filter was a no-op"
+        assert got.equals(exp), f"table {t} ignored the source filter"
 
 
 def test_multitable_shard_merge_matches_oracle(tmp_path):

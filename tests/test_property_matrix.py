@@ -16,7 +16,6 @@ from tiflow_ray.sources.wal import list_segments, load_registry, plan_epochs
     (7, "mor", {}),
     (13, "cow", {}),
     (99, "mor", {"salt_shuffle": 5}),
-    (31, "mor", {"replay_mode": "two_pass"}),
     (57, "cow", {"precompact": False, "salt_shuffle": 3}),
 ])
 def test_replay_matches_oracle_across_seeds(tmp_path, seed, mode, knobs):

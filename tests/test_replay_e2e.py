@@ -103,20 +103,6 @@ def test_partition_count_invariance(tmp_path):
     assert tables[0].equals(tables[1])
 
 
-def test_two_pass_mode_matches_oracle(t1_fixture, tmp_path):
-    """Thin-winner two-pass replay (shuffle ships only winner payloads)
-    converges to the same oracle state, DDLs included."""
-    root, reg, *_ = t1_fixture
-    cfg = ReplayConfig(wal_dir=os.path.join(root, "wal"),
-                       lake_dir=str(tmp_path / "lake_tp"),
-                       num_partitions=8, replay_mode="two_pass", validate=True)
-    rp.bootstrap(cfg, base_dir=os.path.join(root, "base"))
-    rp.run_replay(cfg)
-    got = rp.lake_to_table(cfg.lake_dir, cfg.wal_dir)
-    exp = oracle.replay_to_table(root, reg)
-    assert got.equals(exp)
-
-
 def test_full_load_then_replay_matches_oracle(t1_noddl_fixture, tmp_path):
     """Distributed full load (S5): the base arrives as an arbitrary
     Dataset, gets hash-partitioned into the lake by a Ray shuffle, and the
@@ -196,35 +182,6 @@ def test_heartbeat_segment_advances_watermark_without_data(tmp_path):
     # resume still a clean no-op after GC
     assert rp.run_replay(cfg).epochs == []
     assert rp.lake_to_table(cfg.lake_dir, cfg.wal_dir).equals(before)
-
-
-def test_two_pass_with_ignore_sources_matches_single_pass(t1_noddl_fixture, tmp_path):
-    """Filters must apply to the thin winner pass too: if a doc's true last
-    event is filtered only from the payload pass, its signature poisons the
-    winner set and the doc's surviving update is silently lost."""
-    root, reg, *_ = t1_noddl_fixture
-    tables = {}
-    for mode in ("single_pass", "two_pass"):
-        cfg = ReplayConfig(wal_dir=os.path.join(root, "wal"),
-                           lake_dir=str(tmp_path / f"lake_{mode}"),
-                           num_partitions=8, replay_mode=mode,
-                           ignore_sources=frozenset({"web"}))
-        rp.bootstrap(cfg, base_dir=os.path.join(root, "base"))
-        rp.run_replay(cfg)
-        tables[mode] = rp.lake_to_table(cfg.lake_dir, cfg.wal_dir)
-    assert tables["two_pass"].equals(tables["single_pass"])
-
-
-def test_two_pass_rejects_event_predicate(t1_noddl_fixture, tmp_path):
-    import pytest as _pytest
-    root, reg, *_ = t1_noddl_fixture
-    cfg = ReplayConfig(wal_dir=os.path.join(root, "wal"),
-                       lake_dir=str(tmp_path / "lake_tp_pred"),
-                       num_partitions=8, replay_mode="two_pass",
-                       event_predicate=lambda t: pc.is_valid(t["doc_id"]))
-    rp.bootstrap(cfg, base_dir=os.path.join(root, "base"))
-    with _pytest.raises(ValueError, match="two_pass"):
-        rp.run_replay(cfg)
 
 
 def test_hash_fingerprint_guard(t1_noddl_fixture, tmp_path):

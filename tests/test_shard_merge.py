@@ -469,31 +469,3 @@ def test_column_mapping_optimistic_mode_maps_in_remount(tmp_path):
                                  key_mappings=rules)
     assert len(res2.epochs) == 0
     assert rp.lake_to_table(cfg.lake_dir, wal_dirs[0]).equals(got)
-
-
-def test_optimistic_mapping_rejects_two_pass(tmp_path):
-    """ADVICE r4 (high): optimistic + key_mappings moves the mapping into
-    cfg.remount_shards, bypassing the shard_key_mapping+two_pass guard —
-    the thin winner pass would read raw unmapped doc_ids while the main
-    pass remounts them, silently filtering every event. Must be rejected
-    upfront, like the single-table guard."""
-    root, registry, rules = _mapped_setup(tmp_path)
-    wal_dirs = [os.path.join(root, f"wal_s{i}") for i in range(2)]
-    cfg = ReplayConfig(wal_dir=wal_dirs[0],
-                       lake_dir=str(tmp_path / "lake_2p"),
-                       num_partitions=8, replay_mode="two_pass")
-    rp.bootstrap(cfg, base_dir=f"{root}/base")
-    with pytest.raises(ValueError, match="two_pass"):
-        rp.run_replay_sharded(cfg, wal_dirs, mode="optimistic",
-                              key_mappings=rules)
-    # two_pass WITHOUT a mapping stays allowed in optimistic mode
-    res = rp.run_replay_sharded(
-        ReplayConfig(wal_dir=wal_dirs[0],
-                     lake_dir=str(tmp_path / "lake_2p"),
-                     num_partitions=8, replay_mode="two_pass"),
-        wal_dirs, mode="optimistic")
-    assert res.epochs, "mapless optimistic two_pass replayed nothing"
-    got = rp.lake_to_table(str(tmp_path / "lake_2p"), wal_dirs[0])
-    # mapped base rows (2 shards × N) survive; the unmapped shard-local
-    # keys collapse onto N fresh doc_ids
-    assert got.num_rows == 3 * N_PER_SHARD

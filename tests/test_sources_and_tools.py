@@ -424,6 +424,11 @@ action = "Ignore"
     bad.write_text("wal_dri = 'typo'\n")
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(str(bad))
+    # removed knobs fail the same way instead of being silently ignored
+    for knob in ("replay_mode = 'two_pass'", "shuffle_mode = 'direct'"):
+        bad.write_text(knob + "\n")
+        with pytest.raises(ValueError, match="unknown config keys"):
+            load_config(str(bad))
 
 
 def test_diff_validator_finds_planted_differences(t1_noddl_fixture, tmp_path):

@@ -39,26 +39,6 @@ class ReplayConfig:
                                       # best at 512k on the 20M-event bench)
     merge_concurrency: int | None = None   # actor/task parallelism for merge stage (None = Ray default)
 
-    # replay shape
-    replay_mode: str = "single_pass"  # "single_pass": decode+combine+shuffle
-                                      # full rows (default). "two_pass": a thin
-                                      # first pass (keys+ts only, ~6x fewer
-                                      # bytes) finds the global winner set; the
-                                      # second pass ships ONLY winner payloads
-                                      # through the shuffle — for streams with
-                                      # high update factors per key
-
-    # exchange shape
-    shuffle_mode: str = "sort"        # "sort": ray groupby sort-shuffle —
-                                      # DEFAULT: overlaps with the read/map
-                                      # stages under streaming execution and
-                                      # spills gracefully (measured 1.7-2x
-                                      # faster than "direct" at 20M events).
-                                      # "direct": explicit hash exchange (split
-                                      # blocks by part, one task per partition)
-                                      # — a materializing barrier; useful for
-                                      # few-partition / tiny-epoch replays
-
     # sink shape
     sink_mode: str = "mor"            # "mor": append winner deltas, fold every
                                       # compact_every epochs (I/O ∝ change volume);

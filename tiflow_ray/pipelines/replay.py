@@ -1,26 +1,31 @@
-"""The epoch-loop replay engine: WAL change files → lake table state.
+"""The epoch engine: WAL change files → lake table state, for one table
+or for a multi-table changefeed (pipelines/multitable.py is the
+multi-table front end; single-table replay is the one-table case).
 
 One Ray Data pipeline per epoch (SURVEY.md §7 design one-liner):
 
     read_parquet(segments ∩ (lo, hi], columns pruned to the epoch schema,
                  commit_ts row-filter pushdown)
-      → map_batches Normalize            (mounter analog, stateless, Arrow)
-      → map_batches split_updates        (identity-change D+I split, pre-shuffle)
-      → map_batches compact_batch        (per-batch LWW combiner — hot-key
-                                          pre-reduce — fused with part =
-                                          hash(doc_id) % P; or, in
-                                          replay_mode="two_pass", a thin first
-                                          pass finds winner signatures and the
-                                          payload pass ships winners only)
-      → groupby("part").map_groups(MergeApply)   (THE one shuffle: deltas only,
-                                                  base stays put; MoR appends
-                                                  winner deltas / folds chains,
-                                                  CoW rewrites partitions)
+      → map_batches Normalize            (mounter analog, stateless, Arrow;
+                                          keep-masks, declared-table check)
+      → map_batches split_combine        (per table: identity-change D+I
+                                          split + LWW combiner — hot-key
+                                          pre-reduce — fused with the
+                                          exchange key tid·P + hash(doc_id) % P)
+      → groupby("part").map_groups(merge_apply)
+                                         (THE one shuffle: deltas only, base
+                                          stays put; each (table, part)
+                                          group runs its table's MergeApply:
+                                          MoR appends winner deltas / folds
+                                          chains, CoW rewrites partitions)
       → tiny stats table → driver commits manifest + checkpoint atomically
 
+Where a table lives on disk (data dir, manifest part key, registry and
+schema-version format) is decided in one place, LakeLayout.
+
 The driver (the "owner", cdc/owner/changefeed.go analog) only ever touches
-O(P) metadata per epoch: per-partition stats, watermarks, the manifest. All
-row data moves task-to-task through the object store.
+O(tables × P) metadata per epoch: per-chain stats, watermarks, the
+manifest. All row data moves task-to-task through the object store.
 
 Fault tolerance: any crash before the manifest rename loses nothing — the
 next run re-plans from the last committed manifest and re-executes the epoch
@@ -32,10 +37,11 @@ no-op because merge is REPLACE-natured).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import glob
+import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,11 +53,11 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..config import ReplayConfig
-from ..model import hash_partition, image_columns
+from ..model import collation_key, hash_partition
 from ..sources.wal import Epoch, list_segments, load_registry, plan_epochs
 from ..stages.compact import assign_partition, compact_batch
 from ..stages.merge import MergeApply
-from ..stages.normalize import Normalize, epoch_event_columns
+from ..stages.normalize import EVENT_KEY_COLS, Normalize
 from ..stages.update_split import split_updates
 from ..stages.schema_evo import DDL, SchemaRegistry
 from ..state.checkpoint import LakeState, Manifest
@@ -114,7 +120,6 @@ def bootstrap(cfg: ReplayConfig, base_dir: str | None = None) -> Manifest:
             # silently duplicate rows at merge time — sample and verify
             sample = pq.read_table(files[0], columns=["doc_id"]).column("doc_id")
             sample = sample.slice(0, 256)
-            from ..model import collation_key
             if len(sample) and not (hash_partition(
                     collation_key(sample, cfg.key_collation),
                     cfg.num_partitions) == p).all():
@@ -135,57 +140,6 @@ def bootstrap(cfg: ReplayConfig, base_dir: str | None = None) -> Manifest:
     return m
 
 
-# per-worker cache of part→sorted-sig-array maps, keyed PER EPOCH (the
-# block-ref set identifies the epoch) so concurrent pipelined epochs don't
-# evict each other's maps. Within an epoch, blocks load LAZILY: a filter
-# worker ray.gets only the sig blocks whose partitions actually appear in
-# its batches, so on a multi-node cluster a node holds only the signature
-# shards it filters — not the full set (zero-copy plasma views otherwise).
-_SIG_MAP_CACHE: "OrderedDict[tuple, dict]" = OrderedDict()
-_SIG_MAP_MAX_EPOCHS = 8     # ≥ any sane pipeline_epochs; tiny entries
-
-
-def _part_sig_map(sig_index: tuple, parts_needed) -> dict:
-    """`sig_index` is ((ref, parts_in_block), ...) built by
-    _thin_winner_signatures. Loads exactly the blocks covering
-    `parts_needed` that this worker hasn't loaded yet and returns the
-    epoch's part→sorted-sigs dict (only loaded parts present — callers
-    only look up parts they asked for)."""
-    import numpy as np
-    key = tuple(r.hex() for r, _ in sig_index)
-    ent = _SIG_MAP_CACHE.get(key)
-    if ent is None:
-        ent = {"loaded": set(), "views": {}, "final": {}}
-        _SIG_MAP_CACHE[key] = ent
-        while len(_SIG_MAP_CACHE) > _SIG_MAP_MAX_EPOCHS:
-            _SIG_MAP_CACHE.popitem(last=False)
-    _SIG_MAP_CACHE.move_to_end(key)
-    wanted = {int(p) for p in parts_needed}
-    need = [r for r, ps in sig_index
-            if r.hex() not in ent["loaded"] and wanted.intersection(ps)]
-    if not need:
-        return ent["final"]
-    touched: set[int] = set()
-    for r, t in zip(need, ray.get(need)):
-        ent["loaded"].add(r.hex())
-        if t.num_rows == 0:
-            continue
-        parts = t["part"].to_numpy(zero_copy_only=False)
-        sigs = t["sig"].to_numpy()          # plasma-backed, read-only
-        # run boundaries: each map_groups group (one part) is contiguous
-        cuts = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1]])
-        ends = np.r_[cuts[1:], len(parts)]
-        for s, e in zip(cuts, ends):
-            p = int(parts[s])
-            ent["views"].setdefault(p, []).append(sigs[s:e])
-            touched.add(p)
-    for p in touched:
-        v = ent["views"][p]
-        ent["final"][p] = (v[0] if len(v) == 1
-                           else np.sort(np.concatenate(v)))
-    return ent["final"]
-
-
 def _epoch_byte_cap(cfg: ReplayConfig) -> int | None:
     """Resolve cfg.max_epoch_bytes: >0 explicit, -1 off, 0 auto — a share
     of the object store per concurrently-pipelined epoch, with a 12×
@@ -203,16 +157,11 @@ def _epoch_byte_cap(cfg: ReplayConfig) -> int | None:
     return max(64 << 20, int(plasma / (k * 12)))
 
 
-@ray.remote(num_cpus=0)
-def _block_parts(t: pa.Table) -> tuple:
-    """Distinct partitions present in one sig block (runs co-located with
-    the block — only the tuple travels back)."""
-    import numpy as np
-    if t.num_rows == 0:
-        return ()
-    return tuple(
-        int(p) for p in
-        np.unique(t["part"].to_numpy(zero_copy_only=False)))
+def _plan_caps(cfg: ReplayConfig) -> dict:
+    """plan_epochs' epoch-size caps and syncpoint cuts from the config."""
+    return dict(max_segments_per_epoch=cfg.max_segments_per_epoch,
+                syncpoint_interval=cfg.syncpoint_interval,
+                max_bytes_per_epoch=_epoch_byte_cap(cfg))
 
 
 def full_load(ds: "ray.data.Dataset", cfg: ReplayConfig) -> Manifest:
@@ -264,69 +213,6 @@ def full_load(ds: "ray.data.Dataset", cfg: ReplayConfig) -> Manifest:
     return m
 
 
-def _thin_winner_signatures(cfg: ReplayConfig, ep: Epoch,
-                            read_kwargs: dict) -> tuple:
-    """Two-pass pass 1: read ONLY (op, commit_ts, start_ts, doc_id,
-    new_doc_id) (~6x fewer bytes than with token payloads), split identity
-    changes, combine per batch, final-reduce per partition, and return the
-    REFS to the per-partition (part, sorted sig) blocks — 8 bytes per
-    surviving key, O(touched docs) total. There is NO global merge task
-    (r3 verdict #3): each block stays in the object store as produced by
-    its partition's reduce, and payload-pass filter workers binary-search
-    each row against ITS partition's block only, so no single task ever
-    holds (let alone 2×) the whole signature set — bounded per-task memory
-    at any winners-per-epoch count."""
-    import numpy as np
-
-    from ..stages.compact import compact_partition, event_signature
-
-    flt = (pads.field("commit_ts") > ep.lo) & (pads.field("commit_ts") <= ep.hi)
-    thin_cols = ["op", "commit_ts", "start_ts", "doc_id", "new_doc_id"]
-    # filters MUST apply to pass 1 too: a winner filtered from the payload
-    # pass but not here would poison the signature set and silently drop the
-    # doc's surviving earlier events (two_pass+predicate is rejected upfront
-    # in _execute_epoch — a predicate may touch payload columns pass 1
-    # doesn't read)
-    thin_fields = []
-    if cfg.ignore_sources:
-        thin_cols = thin_cols + ["source"]
-        thin_fields = [pa.field("source", pa.string())]
-    # read PLANNING shares the same lazy-fsspec-import race as the main
-    # epoch read when pipelined epochs plan concurrently — serialize it
-    with _READ_PLAN_LOCK:
-        ds = ray.data.read_parquet(list(ep.files), columns=thin_cols,
-                                   filter=flt, **read_kwargs)
-    if cfg.ignore_sources:
-        ds = ds.map_batches(Normalize(thin_fields, ep.lo, ep.hi,
-                                      cfg.ignore_sources, validate=False),
-                            batch_format="pyarrow", batch_size=cfg.batch_size)
-    ds = ds.map_batches(split_updates, batch_format="pyarrow",
-                        batch_size=cfg.batch_size)
-    ds = ds.map_batches(lambda t: compact_batch(t, cfg.num_partitions,
-                                                collation=cfg.key_collation),
-                        batch_format="pyarrow", batch_size=cfg.batch_size)
-
-    def winners_to_sigs(t: pa.Table) -> pa.Table:
-        import numpy as np
-        part = int(t["part"][0].as_py()) if t.num_rows else -1
-        w = compact_partition(t.drop_columns(["part"]),
-                              collation=cfg.key_collation)
-        sigs = np.sort(event_signature(w, cfg.key_collation))
-        return pa.table({
-            "part": pa.array(np.full(len(sigs), part, np.int32)),
-            "sig": pa.array(sigs),
-        })
-
-    sig_ds = ds.groupby("part").map_groups(winners_to_sigs,
-                                           batch_format="pyarrow")
-    refs = sig_ds.to_arrow_refs()           # blocks stay in the object store
-    # per-part ref index: each filter worker fetches ONLY the blocks whose
-    # partitions appear in its batches (the parts tuple is computed next to
-    # the block; only O(parts) ints travel)
-    parts = ray.get([_block_parts.remote(r) for r in refs])
-    return tuple(zip(refs, parts))
-
-
 def _codec_col_groups(ep: Epoch) -> list[tuple[list[str], list[str]]]:
     """Group an epoch's files by their OWN segment-meta column order
     [(files, columns)]. Segments written before and after a DDL barrier
@@ -357,44 +243,34 @@ def read_codec_epoch(ep: Epoch, read_kwargs: dict,
     epochs). Shared by the single-table and multi-table replay paths."""
     if ep.fmt == "jsonl":    # raw json change files (self-describing)
         return ray.data.read_json(list(ep.files), **read_kwargs)
-    if ep.fmt == "avro":     # OCF: BLOCK-granular fan-out — the splitter
-        # walks block headers (no datum decode) and each range task
-        # seeks+reads only its own blocks, so one large segment decodes
-        # ≥8-way instead of one-task-per-file
-        from ..sources.codecs import AvroRangeDecoder, plan_avro_splits
+    if ep.fmt in ("avro", "mysql_binlog", "craft"):
+        from ..sources import codecs
         parts = []
         for files, cols in _codec_col_groups(ep):
-            items = plan_avro_splits(files, cols)
-            ds = ray.data.from_items(
-                items, override_num_blocks=max(1, len(items)))
-            parts.append(ds.map_batches(AvroRangeDecoder(cols),
-                                        batch_format="pyarrow",
-                                        batch_size=4))
-        return _union_ds(parts)
-    if ep.fmt == "mysql_binlog":   # binlog v4: TRANSACTION-granular
-        # fan-out — the planner walks event headers (event_size hops, no
-        # row decode) and each range task seeks+reads only its own whole
-        # transactions (every txn re-announces its TABLE_MAP, so ranges
-        # are self-contained)
-        from ..sources.codecs import BinlogRangeDecoder, plan_binlog_splits
-        parts = []
-        for files, cols in _codec_col_groups(ep):
-            items = plan_binlog_splits(files, cols)
-            ds = ray.data.from_items(
-                items, override_num_blocks=max(1, len(items)))
-            parts.append(ds.map_batches(BinlogRangeDecoder(cols),
-                                        batch_format="pyarrow",
-                                        batch_size=4))
-        return _union_ds(parts)
-    if ep.fmt == "craft":    # craft: size tables live at the message
-        # TAIL, so a mid-file split cannot be located without the tail —
-        # file-granular fan-out is inherent to the format
-        from ..sources.codecs import BinaryFileDecoder
-        parts = []
-        for files, cols in _codec_col_groups(ep):
-            ds = ray.data.read_binary_files(files)
-            parts.append(ds.map_batches(BinaryFileDecoder(ep.fmt, cols),
-                                        batch_format="pyarrow",
+            if ep.fmt == "craft":
+                # craft: size tables live at the message TAIL, so a
+                # mid-file split cannot be located without the tail —
+                # file-granular fan-out is inherent to the format
+                ds = ray.data.read_binary_files(files)
+                decoder = codecs.BinaryFileDecoder(ep.fmt, cols)
+            else:
+                # avro OCF: BLOCK-granular fan-out — the splitter walks
+                # block headers (no datum decode) and each range task
+                # seeks+reads only its own blocks, so one large segment
+                # decodes ≥8-way instead of one-task-per-file. binlog v4:
+                # TRANSACTION-granular — the planner walks event headers
+                # (event_size hops, no row decode) and each range task
+                # reads only its own whole transactions (every txn
+                # re-announces its TABLE_MAP, so ranges are self-contained)
+                plan, decoder = (
+                    (codecs.plan_avro_splits, codecs.AvroRangeDecoder)
+                    if ep.fmt == "avro" else
+                    (codecs.plan_binlog_splits, codecs.BinlogRangeDecoder))
+                items = plan(files, cols)
+                ds = ray.data.from_items(
+                    items, override_num_blocks=max(1, len(items)))
+                decoder = decoder(cols)
+            parts.append(ds.map_batches(decoder, batch_format="pyarrow",
                                         batch_size=4))
         return _union_ds(parts)
     # csv / canal-json / open-protocol / … change files: text → decoder,
@@ -465,40 +341,146 @@ def _read_remounted(cfg: ReplayConfig, registry: SchemaRegistry, ep: Epoch,
     return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
-def _execute_epoch(cfg: ReplayConfig, registry: SchemaRegistry,
-                   prev_parts: dict, ep: Epoch, epoch_no: int,
-                   allow_fold: bool = True) -> list[dict]:
-    """Run one epoch's data pipeline (read → normalize → split → combine →
-    shuffle → merge-write) and return the per-partition stats rows. NO
-    manifest side effects — commit happens in _commit_epoch."""
-    if cfg.replay_mode == "two_pass" and (cfg.event_predicate is not None
-                                          or cfg.expr_filter_rules
-                                          or cfg.online_ddl is not None
-                                          or cfg.table_filter is not None
-                                          or cfg.bdr_mode):
-        raise ValueError(
-            "replay_mode='two_pass' cannot be combined with event_predicate/"
-            "expr_filter_rules: the thin pass does not read payload columns, "
-            "so a predicate that filters a winner there would silently drop "
-            "that doc's surviving events; use single_pass or fold the "
-            "predicate into ignore_sources")
-    if not ep.files:
-        # a barrier-only epoch (DDL lands before any event in range): no
-        # data moves; the commit alone advances schema_ver + watermark
-        return []
-    image_fields = [registry.schema(ep.schema_ver).field(c)
-                    for c in image_columns([f.name for f in
-                                            registry.schema(ep.schema_ver)])]
-    cols = epoch_event_columns([f.name for f in image_fields])
-    # online-DDL / table-filter modes read the table routing column so the
-    # Normalize-stage predicate can drop ghost/trash or unselected-table
-    # DML; Normalize's final projection then discards it (not an image col)
-    read_cols = list(cols)
-    if cfg.online_ddl is not None or cfg.table_filter is not None:
-        read_cols.append("table_name")
-    if cfg.bdr_mode:
-        read_cols.append("write_source")
+@dataclass(frozen=True)
+class TableLifecycle:
+    """CREATE/DROP TABLE barriers for one table of the changefeed
+    (cdc/owner/ddl_manager.go handles both as ordinary DDL barriers; the
+    sink adds/removes the table span). created_ts=0 = existed at
+    bootstrap; dropped_ts=None = still live. Events outside
+    (created_ts, dropped_ts] fail loudly — a correct upstream can never
+    produce them."""
+    created_ts: int = 0
+    dropped_ts: int | None = None
 
+
+@dataclass(frozen=True)
+class LakeLayout:
+    """The one place the two lake kinds differ on disk. A one-table lake
+    (`bootstrap`) keeps `data/part=p`, manifest part keys "p", the table's
+    registry JSON as-is and its schema version in Manifest.schema_ver. A
+    multi-table lake (`multitable.bootstrap_multitable`) keeps
+    `data/table=T/part=p`, keys "T/p", registry_json = {T: registry_json}
+    and schema_ver 0 (each table's version lives in stats["tables"][T])."""
+    multitable: bool = False
+
+    @classmethod
+    def of(cls, m: Manifest) -> "LakeLayout":
+        return cls("tables" in m.stats)
+
+    def data_dir(self, lake_dir: str, table: str) -> str:
+        d = os.path.join(lake_dir, "data")
+        return os.path.join(d, f"table={table}") if self.multitable else d
+
+    def part_key(self, table: str, part) -> str:
+        return f"{table}/{part}" if self.multitable else str(part)
+
+    def split_key(self, key: str) -> tuple[str, str]:
+        return tuple(key.rsplit("/", 1)) if self.multitable else ("", key)
+
+    def registry_json(self, registries: dict[str, SchemaRegistry]) -> str:
+        if self.multitable:
+            return json.dumps({t: r.to_json() for t, r in registries.items()})
+        return registries[""].to_json()
+
+    def schema_ver(self, registries: dict[str, SchemaRegistry],
+                   ts: int) -> int:
+        return 0 if self.multitable else registries[""].version_at(ts)
+
+    def committed_tables(self, m: Manifest) -> dict[str, tuple[str, int]]:
+        """table → (registry JSON, committed schema version)."""
+        if not self.multitable:
+            return {"": (m.registry_json, m.schema_ver)}
+        regs = json.loads(m.registry_json)
+        return {t: (regs[t], ts["schema_ver"])
+                for t, ts in m.stats["tables"].items()}
+
+
+@dataclass
+class Changefeed:
+    """The tables one replay replicates. Single-table replay is the
+    one-table case: registries = {"": registry} on a one-table layout."""
+    registries: dict[str, SchemaRegistry]
+    lifecycle: dict[str, TableLifecycle] = field(default_factory=dict)
+    layout: LakeLayout = LakeLayout()
+
+    def __post_init__(self):
+        #: stable table ids: the exchange key is tid * P + part
+        self.table_ids = {t: i for i, t in enumerate(sorted(self.registries))}
+
+    def active(self, ep: Epoch) -> list[str]:
+        """Tables live inside epoch (lo, hi]: created at/before lo (epochs
+        are cut at every creation barrier, so an epoch never straddles
+        one) and not dropped before hi."""
+        out = []
+        for t in sorted(self.registries):
+            lc = self.lifecycle.get(t, TableLifecycle())
+            if lc.created_ts > ep.lo:
+                continue
+            if lc.dropped_ts is not None and lc.dropped_ts < ep.hi:
+                continue
+            out.append(t)
+        return out
+
+
+def _image_fields(registries: dict[str, SchemaRegistry],
+                  vers: dict[str, int]) -> list[pa.Field]:
+    """The epoch's image fields: the union over the active tables at their
+    versions. Same-named columns must agree on type across tables
+    (checked here, loudly, at plan time)."""
+    union: dict[str, pa.Field] = {}
+    for t, ver in vers.items():
+        for f in registries[t].schema(ver):
+            if f.name == "doc_id":
+                continue
+            have = union.get(f.name)
+            if have is not None and have.type != f.type:
+                raise ValueError(
+                    f"column {f.name!r} has type {have.type} in one table "
+                    f"and {f.type} in {t!r}; a shared-WAL changefeed "
+                    "needs same-name columns type-aligned")
+            union[f.name] = f
+    return list(union.values())
+
+
+def _bdr_mask(t: pa.Table):
+    """BDR loop filter: null / 0 write_source = local write → replicate;
+    nonzero = CDC-applied → drop."""
+    if "write_source" not in t.column_names:
+        return np.ones(t.num_rows, bool)
+    ws = t["write_source"].cast(pa.int64())
+    return pc.fill_null(pc.equal(pc.fill_null(ws, 0), 0), True)
+
+
+def _table_filter_mask(tfilt, t: pa.Table):
+    if "table_name" not in t.column_names:
+        return np.ones(t.num_rows, bool)
+    tables = np.asarray(t["table_name"].to_numpy(zero_copy_only=False))
+    schemas = (np.asarray(t["schema_name"].to_numpy(zero_copy_only=False))
+               if "schema_name" in t.column_names
+               else np.full(t.num_rows, "tiflow"))
+    return tfilt.mask(schemas, tables)
+
+
+def _event_masks(cfg: ReplayConfig) -> list:
+    """The keep-masks Normalize AND-composes over each batch."""
+    masks = [] if cfg.event_predicate is None else [cfg.event_predicate]
+    if cfg.bdr_mode:
+        masks.append(_bdr_mask)
+    if cfg.table_filter is not None:
+        masks.append(functools.partial(_table_filter_mask, cfg.table_filter))
+    if cfg.online_ddl is not None:
+        masks.append(cfg.online_ddl.dml_mask)
+    if cfg.expr_filter_rules:
+        from ..stages.expr_filter import ExprFilter
+        masks.append(ExprFilter(list(cfg.expr_filter_rules)))
+    return masks
+
+
+def _read_epoch(cfg: ReplayConfig, feed: Changefeed, ep: Epoch,
+                read_cols: list[str]) -> tuple["ray.data.Dataset", bool]:
+    """The epoch's raw events, pruned to `read_cols` → (dataset,
+    enforce_range): codecs carry no commit_ts pushdown, so Normalize must
+    range-filter their rows."""
     # block count ≫ cores: parquet files are few and large, so without an
     # override the read fans out only #files wide and the whole pipeline
     # starves past ~16 cores (measured 2-4x on the 20M-event bench)
@@ -507,187 +489,141 @@ def _execute_epoch(cfg: ReplayConfig, registry: SchemaRegistry,
     if ep.est_rows > 4 * 131072:
         read_kwargs["override_num_blocks"] = max(
             ncpu, min(8 * ncpu, ep.est_rows // 131072))
-
+    if cfg.shard_key_mapping and ep.fmt != "parquet":
+        raise ValueError("shard column mapping expects parquet WAL shards")
     # read PLANNING is not thread-safe in Ray (lazy fsspec imports race when
     # pipelined epochs plan concurrently) — serialize planning only;
     # execution itself streams outside the lock
-    if cfg.shard_key_mapping and ep.fmt != "parquet":
-        raise ValueError("shard column mapping expects parquet WAL shards")
-    if cfg.shard_key_mapping and cfg.replay_mode == "two_pass":
-        raise ValueError(
-            "replay_mode='two_pass' cannot be combined with column mapping: "
-            "the thin winner pass reads keys without their source paths, so "
-            "it would dedupe UNMAPPED keys across shards")
     with _READ_PLAN_LOCK:
-        if ep.fmt == "parquet" and cfg.remount_shards is not None:
-            ds = _read_remounted(cfg, registry, ep, read_cols, read_kwargs)
-            enforce_range = False
-        elif ep.fmt == "parquet":
-            flt = (pads.field("commit_ts") > ep.lo) & (pads.field("commit_ts") <= ep.hi)
-            if cfg.shard_key_mapping:
-                read_kwargs["include_paths"] = True
-            # Parquet segments in one epoch may carry DIFFERENT column
-            # sets (a derived WAL whose producer learned a column after
-            # earlier rounds were written, or plain pre/post-DDL
-            # straddles): requesting a column a file lacks is a read
-            # error, so group files by their own available∩wanted
-            # columns and union — Normalize null-fills what a group is
-            # missing (same shape as the codec col_map path).
-            cmap = dict(ep.col_map)
-            by_cols: dict[tuple, list[str]] = {}
-            for f in ep.files:
-                avail = cmap.get(f) or ()
-                want = tuple(c for c in read_cols
-                             if not avail or c in avail)
-                by_cols.setdefault(want, []).append(f)
-            if len(by_cols) == 1:
-                ds = ray.data.read_parquet(
-                    list(ep.files), columns=list(next(iter(by_cols))),
-                    filter=flt, **read_kwargs)
-            else:
-                ds = _union_ds([
-                    ray.data.read_parquet(fs, columns=list(w),
-                                          filter=flt, **read_kwargs)
-                    for w, fs in by_cols.items()])
-            if cfg.shard_key_mapping:
-                from ..stages.column_mapping import mapping_stage
-                ds = ds.map_batches(mapping_stage(cfg.shard_key_mapping),
-                                    batch_format="pyarrow",
-                                    batch_size=cfg.batch_size)
-            enforce_range = False
-        else:   # non-parquet change-file codecs (M10 decode)
-            ds = read_codec_epoch(ep, read_kwargs, cfg.batch_size)
-            enforce_range = True   # codecs have no commit_ts pushdown
-    predicate = cfg.event_predicate
+        if ep.fmt != "parquet":    # change-file codecs (M10 decode)
+            return read_codec_epoch(ep, read_kwargs, cfg.batch_size), True
+        if cfg.remount_shards is not None:
+            return _read_remounted(cfg, feed.registries[""], ep, read_cols,
+                                   read_kwargs), False
+        flt = (pads.field("commit_ts") > ep.lo) & (pads.field("commit_ts") <= ep.hi)
+        if cfg.shard_key_mapping:
+            read_kwargs["include_paths"] = True
+        # Parquet segments in one epoch may carry DIFFERENT column sets (a
+        # derived WAL whose producer learned a column after earlier rounds
+        # were written, per-table topic consumers, or plain pre/post-DDL
+        # straddles): requesting a column a file lacks is a read error, so
+        # group files by their own available∩wanted columns and union —
+        # Normalize null-fills what a group is missing (same shape as the
+        # codec col_map path).
+        cmap = dict(ep.col_map)
+        by_cols: dict[tuple, list[str]] = {}
+        for f in ep.files:
+            avail = cmap.get(f) or ()
+            want = tuple(c for c in read_cols if not avail or c in avail)
+            by_cols.setdefault(want, []).append(f)
+        if len(by_cols) == 1:
+            ds = ray.data.read_parquet(
+                list(ep.files), columns=list(next(iter(by_cols))),
+                filter=flt, **read_kwargs)
+        else:
+            ds = _union_ds([
+                ray.data.read_parquet(fs, columns=list(w),
+                                      filter=flt, **read_kwargs)
+                for w, fs in by_cols.items()])
+        if cfg.shard_key_mapping:
+            from ..stages.column_mapping import mapping_stage
+            ds = ds.map_batches(mapping_stage(cfg.shard_key_mapping),
+                                batch_format="pyarrow",
+                                batch_size=cfg.batch_size)
+        return ds, False
+
+
+def split_combine(t: pa.Table, table_ids: dict[str, int],
+                  num_partitions: int, precompact: bool = True,
+                  hot_share: float | None = None, salt_factor: int = 8,
+                  collation: str = "binary") -> pa.Table:
+    """Per-batch update-split + LWW combiner + exchange key, PER TABLE:
+    doc_ids are table-scoped keys — the same id in two tables must never
+    collapse — and the split's synthesized delete half must stay routed to
+    its table. part = tid * P + hash(doc_id) % P makes one integer key, so
+    the exchange stays a single groupby; a batch without `table_name` is
+    table 0's (the one-table feed).
+
+    `hot_share` enables dynamic hot-key detection (splitter_write.go
+    analog) per table — a hot key in one table must not serialize the
+    other tables' groups. Detected-hot rows carry a nonzero `salt` for
+    the (part, salt) pre-reduce."""
+    def one(sub: pa.Table, tid: int) -> pa.Table:
+        sub = split_updates(sub)             # also drops new_doc_id
+        sub = compact_batch(sub, num_partitions, hot_share=hot_share,
+                            salt_factor=salt_factor, collation=collation) \
+            if precompact else assign_partition(sub, num_partitions, collation)
+        if not tid:
+            return sub
+        part = sub["part"].to_numpy(zero_copy_only=False) \
+            + np.uint32(tid * num_partitions)
+        return sub.set_column(sub.schema.get_field_index("part"), "part",
+                              pa.array(part))
+
+    if "table_name" not in t.column_names:
+        return one(t, 0)
+    tn = t["table_name"].to_numpy(zero_copy_only=False)
+    t = t.drop_columns(["table_name"])
+    names = np.unique(tn)
+    if len(names) <= 1:                      # one table: no filter copy
+        return one(t, table_ids[str(names[0])] if len(names) else 0)
+    return pa.concat_tables([one(t.filter(pa.array(tn == name)),
+                                 table_ids[str(name)]) for name in names])
+
+
+def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
+                   ep: Epoch, epoch_no: int,
+                   allow_fold: bool = True) -> list[dict]:
+    """Run one epoch's data pipeline (read → normalize → split+combine →
+    (table, part) exchange → merge-write) and return the per-chain stats
+    rows. NO manifest side effects — commit happens in _commit_epoch."""
+    active = feed.active(ep)
+    if not ep.files or not active:
+        # a barrier-only epoch (DDL lands before any event in range): no
+        # data moves; the commit alone advances schema_ver + watermark
+        return []
+    vers = {t: feed.registries[t].version_at(ep.hi) for t in active}
+    image_fields = _image_fields(feed.registries, vers)
+    read_cols = EVENT_KEY_COLS + [f.name for f in image_fields]
+    # the table routing column: demux key of a multi-table feed, and what
+    # the online-DDL / table-filter masks read (a one-table feed's
+    # Normalize projects it away again)
+    if feed.layout.multitable or cfg.online_ddl is not None \
+            or cfg.table_filter is not None:
+        read_cols.append("table_name")
     if cfg.bdr_mode:
-        def _bdr_mask(t):
-            import numpy as _np
-            import pyarrow as _pa
-            import pyarrow.compute as _pc
-            if "write_source" not in t.column_names:
-                return _pa.array(_np.ones(t.num_rows, dtype=bool))
-            ws = t["write_source"]
-            # null / 0 = local write → replicate; nonzero = CDC-applied
-            return _pc.fill_null(_pc.equal(_pc.fill_null(ws.cast(
-                _pa.int64()), 0), 0), True)
-        if predicate is None:
-            predicate = _bdr_mask
-        else:
-            user_bdr = predicate
-
-            def predicate(t, _u=user_bdr, _m=_bdr_mask):     # AND-compose
-                import numpy as _np
-                import pyarrow as _pa
-                return _pa.array(_np.asarray(_u(t), dtype=bool)
-                                 & _np.asarray(_m(t), dtype=bool))
-    if cfg.table_filter is not None:
-        tfilt = cfg.table_filter
-
-        def _tf_mask(t, _f=tfilt):
-            import numpy as _np
-            import pyarrow as _pa
-            if "table_name" not in t.column_names:
-                return _pa.array(_np.ones(t.num_rows, dtype=bool))
-            tables = _np.asarray(
-                t["table_name"].to_numpy(zero_copy_only=False))
-            schemas = (_np.asarray(
-                t["schema_name"].to_numpy(zero_copy_only=False))
-                if "schema_name" in t.column_names
-                else _np.full(t.num_rows, "tiflow"))
-            return _pa.array(_f.mask(schemas, tables))
-        if predicate is None:
-            predicate = _tf_mask
-        else:
-            user_tf = predicate
-
-            def predicate(t, _u=user_tf, _m=_tf_mask):      # AND-compose
-                import numpy as _np
-                import pyarrow as _pa
-                return _pa.array(_np.asarray(_u(t), dtype=bool)
-                                 & _np.asarray(_m(t), dtype=bool))
-    if cfg.online_ddl is not None:
-        plugin = cfg.online_ddl
-        if predicate is None:
-            def predicate(t, _p=plugin):
-                return _p.dml_mask(t)
-        else:
-            user_pred0 = predicate
-
-            def predicate(t, _u=user_pred0, _p=plugin):    # AND-compose
-                import numpy as _np
-                import pyarrow as _pa
-                return _pa.array(_np.asarray(_u(t), dtype=bool)
-                                 & _np.asarray(_p.dml_mask(t), dtype=bool))
-    if cfg.expr_filter_rules:
-        from ..stages.expr_filter import ExprFilter
-        expr_pred = ExprFilter(list(cfg.expr_filter_rules))
-        if predicate is None:
-            predicate = expr_pred
-        else:
-            user_pred = predicate
-
-            def predicate(t, _u=user_pred, _e=expr_pred):   # AND-compose
-                import numpy as _np
-                import pyarrow as _pa
-                return _pa.array(
-                    _np.asarray(_u(t), dtype=bool)
-                    & _np.asarray(_e(t), dtype=bool))
-    ds = ds.map_batches(Normalize(image_fields, ep.lo, ep.hi,
-                                  cfg.ignore_sources, cfg.validate,
-                                  enforce_range=enforce_range,
-                                  predicate=predicate),
-                        batch_format="pyarrow", batch_size=cfg.batch_size)
-    ds = ds.map_batches(split_updates, batch_format="pyarrow",
-                        batch_size=cfg.batch_size)
-    if cfg.replay_mode == "two_pass" and ep.fmt == "parquet":
-        from ..stages.compact import filter_by_signature_sharded
-        sig_index = _thin_winner_signatures(cfg, ep, read_kwargs)
-
-        def keep_winners(t: pa.Table) -> pa.Table:
-            # partition first, then each row binary-searches ONLY its
-            # partition's sorted sig block (worker-cached plasma views;
-            # only the blocks covering THIS batch's partitions are fetched)
-            import numpy as _np
-            t = assign_partition(t, cfg.num_partitions, cfg.key_collation)
-            if t.num_rows == 0:
-                return t
-            batch_parts = _np.unique(
-                t["part"].to_numpy(zero_copy_only=False))
-            return filter_by_signature_sharded(
-                t, _part_sig_map(sig_index, batch_parts),
-                cfg.key_collation)
-
-        ds = ds.map_batches(keep_winners, batch_format="pyarrow",
-                            batch_size=cfg.batch_size)
+        read_cols.append("write_source")
+    ds, enforce_range = _read_epoch(cfg, feed, ep, read_cols)
+    ds = ds.map_batches(
+        Normalize(image_fields, ep.lo, ep.hi, cfg.ignore_sources,
+                  cfg.validate, enforce_range=enforce_range,
+                  masks=_event_masks(cfg),
+                  tables=frozenset(active) if feed.layout.multitable
+                  else None),
+        batch_format="pyarrow", batch_size=cfg.batch_size)
+    # combiner + exchange key in one fused pass (hash computed once);
+    # under auto_salt the same pass also measures per-key batch shares and
+    # salts ONLY detected-hot keys (splitter_write.go analog)
+    table_ids = feed.table_ids
     dynamic_salt = cfg.auto_salt and cfg.salt_shuffle <= 1 and cfg.precompact
-    if cfg.replay_mode == "two_pass" and ep.fmt == "parquet":
-        dynamic_salt = False          # thin pass handled above; no combiner
-    elif cfg.precompact:
-        # combiner + partition column in one fused pass (hash computed
-        # once); under auto_salt the same pass also measures per-key batch
-        # shares and salts ONLY detected-hot keys (splitter_write.go analog)
-        hot_share = cfg.auto_salt_share if dynamic_salt else None
-        ds = ds.map_batches(
-            lambda t: compact_batch(t, cfg.num_partitions,
-                                    hot_share=hot_share,
-                                    salt_factor=cfg.auto_salt_factor,
-                                    collation=cfg.key_collation),
-            batch_format="pyarrow", batch_size=cfg.batch_size)
-    else:
-        dynamic_salt = False
-        ds = ds.map_batches(
-            lambda t: assign_partition(t, cfg.num_partitions,
-                                       cfg.key_collation),
-            batch_format="pyarrow", batch_size=cfg.batch_size)
+    hot_share = cfg.auto_salt_share if dynamic_salt else None
+    ds = ds.map_batches(
+        lambda t: split_combine(t, table_ids, cfg.num_partitions,
+                                precompact=cfg.precompact,
+                                hot_share=hot_share,
+                                salt_factor=cfg.auto_salt_factor,
+                                collation=cfg.key_collation),
+        batch_format="pyarrow", batch_size=cfg.batch_size)
 
     if cfg.salt_shuffle > 1 or dynamic_salt:
+        # a (part, salt) pre-reduce collapses a hot key's sub-groups in
+        # parallel before the final per-(table, part) merge
         from ..stages.compact import compact_partition
         S = cfg.salt_shuffle
 
         def add_salt(t: pa.Table) -> pa.Table:   # static: salt every row
-            import numpy as _np
             salt = (t["start_ts"].to_numpy(zero_copy_only=False)
-                    % _np.uint64(S)).astype(_np.uint32)
+                    % np.uint64(S)).astype(np.uint32)
             return t.append_column("salt", pa.array(salt))
 
         def presalt_reduce(t: pa.Table) -> pa.Table:
@@ -705,46 +641,115 @@ def _execute_epoch(cfg: ReplayConfig, registry: SchemaRegistry,
         ds = ds.groupby(["part", "salt"]).map_groups(presalt_reduce,
                                                      batch_format="pyarrow")
 
-    merge = MergeApply(registry_json=registry.to_json(),
-                       prev_parts=prev_parts, epoch=epoch_no,
-                       epoch_ver=ep.schema_ver, watermark_ts=ep.hi,
-                       lake_data_dir=os.path.join(cfg.lake_dir, "data"),
-                       sink_mode=cfg.sink_mode, compact_every=cfg.compact_every,
-                       allow_fold=allow_fold,
-                       online_validate=cfg.online_validate,
-                       collation=cfg.key_collation)
-    if cfg.shuffle_mode == "direct":
-        stats_rows = _direct_exchange(ds, merge, cfg.num_partitions)
-    else:
-        def merge_apply(t: pa.Table) -> pa.Table:  # map_groups needs a __name__
-            return merge(t)
+    prev_by_table: dict[str, dict] = {}
+    for key, meta in prev_parts.items():
+        t_name, p = feed.layout.split_key(key)
+        prev_by_table.setdefault(t_name, {})[p] = meta
+    merges = {table_ids[t]: (t, MergeApply(
+        registry_json=feed.registries[t].to_json(),
+        prev_parts=prev_by_table.get(t, {}), epoch=epoch_no,
+        epoch_ver=vers[t], watermark_ts=ep.hi,
+        lake_data_dir=feed.layout.data_dir(cfg.lake_dir, t),
+        sink_mode=cfg.sink_mode, compact_every=cfg.compact_every,
+        allow_fold=allow_fold, online_validate=cfg.online_validate,
+        collation=cfg.key_collation)) for t in active}
+    P = cfg.num_partitions
 
-        gb = ds.groupby("part")
-        kwargs = {}
-        if cfg.merge_concurrency:
-            kwargs["concurrency"] = cfg.merge_concurrency
-        out_ds = gb.map_groups(merge_apply, batch_format="pyarrow", **kwargs)
-        stats_rows = out_ds.take_all()
-        if cfg.collect_stats:
-            with _STATS_LOCK:
-                LAST_EPOCH_STATS.append(out_ds.stats())
+    def merge_apply(g: pa.Table) -> pa.Table:
+        # the (table, part) dispatch: key tid * P + part routes the group
+        # to its table's MergeApply (registry, schema version, previous
+        # chain and data dir all per table) — the per-table sink task
+        tid, part = divmod(int(g["part"][0].as_py()), P)
+        table, merge = merges[tid]
+        if tid:
+            g = g.set_column(g.schema.get_field_index("part"), "part",
+                             pa.array(np.full(g.num_rows, part, np.uint32)))
+        out = merge(g)
+        return out.append_column("table", pa.array([table] * out.num_rows))
+
+    kwargs = {}
+    if cfg.merge_concurrency:
+        kwargs["concurrency"] = cfg.merge_concurrency
+    out_ds = ds.groupby("part").map_groups(merge_apply,
+                                           batch_format="pyarrow", **kwargs)
+    stats_rows = out_ds.take_all()
+    if cfg.collect_stats:
+        with _STATS_LOCK:
+            LAST_EPOCH_STATS.append(out_ds.stats())
     return stats_rows
 
 
-def _commit_epoch(lake: LakeState, registry: SchemaRegistry, prev: Manifest,
+def _table_progress(feed: Changefeed, prev: Manifest, ep: Epoch,
+                    epoch_no: int, parts: dict, touched: set,
+                    syncpoint_interval: int) -> dict:
+    """The commit's progress record. A one-table lake's progress IS the
+    manifest watermark/schema_ver; it records skipped non-schema DDLs and
+    the syncpoint tag. A multi-table lake records per-table progress
+    side by side and executes DROP TABLE barriers (removing the table's
+    chains from `parts`)."""
+    if not feed.layout.multitable:
+        # recognize-and-skip note for non-schema DDL barriers crossed by
+        # this commit (add/drop index, exchange partition — metadata-only
+        # for the lake): the skip is recorded HERE, in the durable
+        # manifest, so it is auditable rather than silent
+        # (cdc/owner/ddl_manager.go's treatment of non-schema-affecting jobs)
+        from ..stages.schema_evo import NON_SCHEMA_DDLS, OPERATOR_SKIP_DDL
+        skipped = [f"{d.ddl_type}:{d.column}" for d in feed.registries[""].ddls
+                   if prev.schema_ver < d.schema_ver <= ep.schema_ver
+                   and (d.ddl_type in NON_SCHEMA_DDLS
+                        or d.ddl_type == OPERATOR_SKIP_DDL)]
+        return {**({"ddl_skipped": skipped} if skipped else {}),
+                # consistent-snapshot tag (cdc/owner syncpoint): this
+                # manifest's watermark IS the aligned ts
+                "syncpoint": bool(syncpoint_interval
+                                  and ep.hi % syncpoint_interval == 0)}
+    tstats = {t: dict(v) for t, v in prev.stats.get("tables", {}).items()}
+    dropped_notes = dict(prev.stats.get("dropped_tables", {}))
+    for t_name, reg in feed.registries.items():
+        lc = feed.lifecycle.get(t_name, TableLifecycle())
+        if lc.created_ts > ep.hi or t_name in dropped_notes:
+            continue                         # not born yet / already gone
+        if lc.dropped_ts is not None and lc.dropped_ts <= ep.hi:
+            # DROP TABLE executed at its barrier: the table's chains leave
+            # the manifest; a durable note survives so later readers get a
+            # "dropped at ts" error instead of "never existed"
+            for key in [k for k in parts
+                        if feed.layout.split_key(k)[0] == t_name]:
+                del parts[key]
+            tstats.pop(t_name, None)
+            dropped_notes[t_name] = {"dropped_ts": lc.dropped_ts,
+                                     "epoch": epoch_no}
+            continue
+        ts = tstats.setdefault(t_name, {"watermark_ts": 0, "schema_ver": 1,
+                                        "last_touched_epoch": 0,
+                                        **({"created_ts": lc.created_ts}
+                                           if lc.created_ts else {})})
+        # resolved-ts progress advances for EVERY live table (an
+        # event-free epoch is still progress — TiCDC advances table
+        # checkpoints on resolved ts); last_touched_epoch is the sink-side
+        # per-table progress marker
+        ts["watermark_ts"] = ep.hi
+        ts["schema_ver"] = reg.version_at(ep.hi)
+        if t_name in touched:
+            ts["last_touched_epoch"] = epoch_no
+    return {"tables": tstats,
+            **({"dropped_tables": dropped_notes} if dropped_notes else {})}
+
+
+def _commit_epoch(lake: LakeState, feed: Changefeed, prev: Manifest,
                   ep: Epoch, epoch_no: int, stats_rows: list[dict],
-                  syncpoint_interval: int = 0,
-                  key_collation: str = "binary") -> tuple[Manifest, EpochResult]:
-    n_winners = 0  # surviving per-key winners, counted from per-part stats
-    # build the next manifest: touched parts get a new base file (fold/cow)
-    # or an appended delta (MoR); untouched parts carry over untouched
+                  cfg: ReplayConfig) -> tuple[Manifest, EpochResult]:
+    # build the next manifest: touched chains get a new base file
+    # (fold/cow) or an appended delta (MoR); untouched chains carry over
     parts = dict(prev.parts)
-    rows_total = 0
+    touched = set()
+    n_winners = 0  # surviving per-key winners, counted from per-chain stats
     for r in stats_rows:
-        key = str(r["part"])
+        key = feed.layout.part_key(r["table"], r["part"])
+        touched.add(r["table"])
         if r["is_delta"]:
             pm = dict(parts.get(key) or
-                      {"path": None, "schema_ver": ep.schema_ver,
+                      {"path": None, "schema_ver": r["schema_ver"],
                        "rows": 0, "bytes": 0, "deltas": []})
             pm["deltas"] = list(pm.get("deltas", [])) + [
                 {"path": r["path"], "schema_ver": r["schema_ver"],
@@ -759,150 +764,29 @@ def _commit_epoch(lake: LakeState, registry: SchemaRegistry, prev: Manifest,
                 pm["checksum"] = r["checksum"]
         parts[key] = pm
         n_winners += r["delta_events"]
-    for meta in parts.values():
-        rows_total += max(meta.get("rows", 0), 0)
-
-    # recognize-and-skip note for non-schema DDL barriers crossed by this
-    # commit (add/drop index, exchange partition — metadata-only for the
-    # lake): the skip is recorded HERE, in the durable manifest, so it is
-    # auditable rather than silent (cdc/owner/ddl_manager.go's treatment
-    # of non-schema-affecting jobs)
-    from ..stages.schema_evo import NON_SCHEMA_DDLS, OPERATOR_SKIP_DDL
-    skipped = [f"{d.ddl_type}:{d.column}" for d in registry.ddls
-               if prev.schema_ver < d.schema_ver <= ep.schema_ver
-               and (d.ddl_type in NON_SCHEMA_DDLS
-                    or d.ddl_type == OPERATOR_SKIP_DDL)]
-
-    m = Manifest(epoch=epoch_no, watermark_ts=ep.hi, schema_ver=ep.schema_ver,
+    progress = _table_progress(feed, prev, ep, epoch_no, parts, touched,
+                               cfg.syncpoint_interval)
+    schema_ver = feed.layout.schema_ver(feed.registries, ep.hi)
+    m = Manifest(epoch=epoch_no, watermark_ts=ep.hi, schema_ver=schema_ver,
                  num_partitions=prev.num_partitions,
-                 registry_json=registry.to_json(), parts=parts,
+                 registry_json=feed.layout.registry_json(feed.registries),
+                 parts=parts,
                  segments_applied=sorted(set(prev.segments_applied) | set(ep.files)),
-                 stats={**({"ddl_skipped": skipped} if skipped else {}),
-                        **({"key_collation": key_collation}
-                           if key_collation != "binary" else {}),
+                 stats={**({"key_collation": cfg.key_collation}
+                           if cfg.key_collation != "binary" else {}),
                         "events": ep.est_rows, "winners": n_winners,
                         "parts_touched": len(stats_rows),
-                        "salted_events": sum(r.get("salted_events", 0)
+                        "salted_events": sum(r.get("salted_events", 0) or 0
                                              for r in stats_rows),
-                        # consistent-snapshot tag (cdc/owner syncpoint):
-                        # this manifest's watermark IS the aligned ts
-                        "syncpoint": bool(syncpoint_interval
-                                          and ep.hi % syncpoint_interval == 0),
-                        "lo": ep.lo, "hi": ep.hi},
+                        **progress, "lo": ep.lo, "hi": ep.hi},
                  hash_fingerprint=prev.hash_fingerprint)
     lake.commit(m)  # THE commit point: epoch becomes durable exactly here
-    return m, EpochResult(epoch_no, ep.lo, ep.hi, ep.schema_ver, ep.est_rows,
+    rows_total = sum(max(meta.get("rows", 0), 0) for meta in parts.values())
+    return m, EpochResult(epoch_no, ep.lo, ep.hi, schema_ver, ep.est_rows,
                           len(stats_rows), rows_total)
 
 
-def run_epoch(cfg: ReplayConfig, lake: LakeState, registry: SchemaRegistry,
-              prev: Manifest, ep: Epoch, epoch_no: int) -> tuple[Manifest, EpochResult]:
-    stats_rows = _execute_epoch(cfg, registry, prev.parts, ep, epoch_no)
-    return _commit_epoch(lake, registry, prev, ep, epoch_no, stats_rows,
-                         syncpoint_interval=cfg.syncpoint_interval,
-                         key_collation=cfg.key_collation)
-
-
-def _split_block_by_part(t: pa.Table, num_partitions: int) -> tuple:
-    """One combiner output block → P zero-copy-sliced sub-tables (sorted by
-    the uint32 part column; no comparator sort, no sampling)."""
-    import numpy as np
-    part = t["part"].to_numpy(zero_copy_only=False)
-    order = np.argsort(part, kind="stable")
-    ts = t.take(pa.array(order))
-    ps = part[order]
-    bounds = np.searchsorted(ps, np.arange(num_partitions + 1))
-    return tuple(ts.slice(int(bounds[p]), int(bounds[p + 1] - bounds[p]))
-                 for p in range(num_partitions))
-
-
-def _merge_exchange_task(merge: "MergeApply", part: int, *tables) -> dict | None:
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
-        return None
-    return merge(pa.concat_tables(tables)).to_pylist()[0]
-
-
-def _direct_exchange(ds: ray.data.Dataset, merge: "MergeApply",
-                     num_partitions: int) -> list[dict]:
-    """Explicit hash exchange replacing the generic sort shuffle: the
-    partition count is small and FIXED (the lake layout), so routing is a
-    stable integer sort + zero-copy slicing per block, and each partition's
-    merge is one task over its slice refs. This is the span-assignment
-    exchange of the reference made literal. For very large P or multi-node
-    spill pressure, cfg.shuffle_mode="sort" falls back to Ray's shuffle."""
-    split = ray.remote(num_returns=num_partitions)(_split_block_by_part)
-    block_refs = ds.to_arrow_refs()   # combiner output, materialized as blocks
-    subrefs = [split.remote(r, num_partitions) for r in block_refs]
-    if num_partitions == 1:
-        subrefs = [[s] for s in subrefs]
-    merge_task = ray.remote(_merge_exchange_task)
-    stats_refs = [merge_task.remote(merge, p, *[sr[p] for sr in subrefs])
-                  for p in range(num_partitions)]
-    return [r for r in ray.get(stats_refs) if r is not None]
-
-
-def run_replay(cfg: ReplayConfig, upto_ts: int | None = None,
-               max_epochs: int | None = None) -> ReplayResult:
-    """Replay all WAL segments beyond the last checkpoint into the lake.
-    Safe to call repeatedly / after a crash: resumes from the latest
-    committed manifest (resume ≡ next epoch, SURVEY.md §3.2)."""
-    lake = LakeState(cfg.lake_dir)
-    registry = load_registry(cfg.wal_dir)
-    prev = lake.latest()
-    assert prev is not None, "call bootstrap() first"
-    if cfg.collect_stats:
-        with _STATS_LOCK:
-            LAST_EPOCH_STATS.clear()
-
-    segments = list_segments(cfg.wal_dir)
-    epochs = plan_epochs(segments, registry, from_ts=prev.watermark_ts,
-                         max_segments_per_epoch=cfg.max_segments_per_epoch,
-                         upto_ts=upto_ts,
-                         syncpoint_interval=cfg.syncpoint_interval,
-                         max_bytes_per_epoch=_epoch_byte_cap(cfg))
-    if max_epochs is not None:
-        epochs = epochs[:max_epochs]
-    return _drive_epochs(cfg, lake, registry, prev, epochs)
-
-
-def tail_replay(cfg: ReplayConfig, poll_secs: float = 0.5,
-                idle_timeout: float | None = None,
-                stop_file: str | None = None,
-                max_epochs: int | None = None) -> ReplayResult:
-    """Continuous tailing daemon (the changefeed processor loop): watch the
-    WAL dir and replay new epochs as segments land, committing checkpoints
-    as it goes — `run_replay` IS already incremental (resume ≡ next epoch),
-    so tailing is just that call in a poll loop. Stops when `idle_timeout`
-    seconds pass with no new committed work, when `stop_file` appears (the
-    operator's pause/remove-changefeed signal), or after `max_epochs`
-    total. Restart later to resume from the checkpoint — identical
-    semantics to any crash/resume."""
-    import time
-
-    result = ReplayResult()
-    idle_since = time.monotonic()
-    while True:
-        if stop_file and os.path.exists(stop_file):
-            break
-        budget = None
-        if max_epochs is not None:
-            budget = max_epochs - len(result.epochs)
-            if budget <= 0:
-                break
-        r = run_replay(cfg, max_epochs=budget)
-        if r.epochs:
-            result.epochs.extend(r.epochs)
-            idle_since = time.monotonic()
-        else:
-            if idle_timeout is not None and \
-                    time.monotonic() - idle_since >= idle_timeout:
-                break
-            time.sleep(poll_secs)
-    return result
-
-
-def _drive_epochs(cfg: ReplayConfig, lake: LakeState, registry: SchemaRegistry,
+def _drive_epochs(cfg: ReplayConfig, lake: LakeState, feed: Changefeed,
                   prev: Manifest, epochs: list[Epoch]) -> ReplayResult:
     if prev.num_partitions and prev.num_partitions != cfg.num_partitions:
         raise ValueError(f"lake P={prev.num_partitions} != config "
@@ -915,6 +799,11 @@ def _drive_epochs(cfg: ReplayConfig, lake: LakeState, registry: SchemaRegistry,
             f"{prev.hash_fingerprint!r}, this process computes "
             f"{hash_fingerprint()!r} — a hash-function/library change would "
             "mis-route keys into existing partitions; re-bootstrap the lake")
+    if feed.layout.multitable and (cfg.shard_key_mapping
+                                   or cfg.remount_shards is not None):
+        raise ValueError(
+            "shard_key_mapping / remount_shards are set by single-table "
+            "sharded replay only; a multi-table changefeed does not apply them")
     result = ReplayResult()
     next_no = prev.epoch + 1
 
@@ -923,9 +812,8 @@ def _drive_epochs(cfg: ReplayConfig, lake: LakeState, registry: SchemaRegistry,
     while i < len(epochs):
         group = epochs[i:i + k]
         if len(group) == 1:
-            prev, er = run_epoch(cfg, lake, registry, prev, group[0], next_no)
-            result.epochs.append(er)
-            next_no += 1
+            stats_lists = [_execute_epoch(cfg, feed, prev.parts, group[0],
+                                          next_no)]
         else:
             # concurrent group: every epoch appends independent MoR deltas
             # (folds deferred ⇒ no epoch reads another's output); pipelines
@@ -940,19 +828,85 @@ def _drive_epochs(cfg: ReplayConfig, lake: LakeState, registry: SchemaRegistry,
             except Exception:
                 pass
             with ThreadPoolExecutor(max_workers=len(group)) as pool:
-                futs = [pool.submit(_execute_epoch, cfg, registry, prev.parts,
+                futs = [pool.submit(_execute_epoch, cfg, feed, prev.parts,
                                     ep, next_no + j, False)
                         for j, ep in enumerate(group)]
                 stats_lists = [f.result() for f in futs]
-            for j, (ep, stats_rows) in enumerate(zip(group, stats_lists)):
-                prev, er = _commit_epoch(lake, registry, prev, ep,
-                                         next_no + j, stats_rows,
-                                         syncpoint_interval=cfg.syncpoint_interval,
-                                         key_collation=cfg.key_collation)
-                result.epochs.append(er)
-            next_no += len(group)
+        for ep, stats_rows in zip(group, stats_lists):
+            prev, er = _commit_epoch(lake, feed, prev, ep, next_no,
+                                     stats_rows, cfg)
+            result.epochs.append(er)
+            next_no += 1
         i += len(group)
     return result
+
+
+def tail_epochs(step, poll_secs: float = 0.5,
+                idle_timeout: float | None = None,
+                stop_file: str | None = None,
+                max_epochs: int | None = None) -> ReplayResult:
+    """The tailing loop (the changefeed processor loop): `step(budget)`
+    replays up to `budget` new epochs (None = all) — every replay call IS
+    already incremental (resume ≡ next epoch), so tailing is just that
+    call in a poll loop. Stops when `idle_timeout` seconds pass with no new
+    committed work, when `stop_file` appears (the operator's
+    pause/remove-changefeed signal), or after `max_epochs` total."""
+    import time
+
+    result = ReplayResult()
+    idle_since = time.monotonic()
+    while True:
+        if stop_file and os.path.exists(stop_file):
+            break
+        budget = None
+        if max_epochs is not None:
+            budget = max_epochs - len(result.epochs)
+            if budget <= 0:
+                break
+        r = step(budget)
+        if r.epochs:
+            result.epochs.extend(r.epochs)
+            idle_since = time.monotonic()
+        else:
+            if idle_timeout is not None and \
+                    time.monotonic() - idle_since >= idle_timeout:
+                break
+            time.sleep(poll_secs)
+    return result
+
+
+def run_replay(cfg: ReplayConfig, upto_ts: int | None = None,
+               max_epochs: int | None = None) -> ReplayResult:
+    """Replay all WAL segments beyond the last checkpoint into the lake.
+    Safe to call repeatedly / after a crash: resumes from the latest
+    committed manifest (resume ≡ next epoch, SURVEY.md §3.2)."""
+    lake = LakeState(cfg.lake_dir)
+    # segments before the schedule: a live indexer publishes a segment's
+    # DDLs before its meta, so every listed segment's barriers are known
+    segments = list_segments(cfg.wal_dir)
+    registry = load_registry(cfg.wal_dir)
+    prev = lake.latest()
+    assert prev is not None, "call bootstrap() first"
+    if cfg.collect_stats:
+        with _STATS_LOCK:
+            LAST_EPOCH_STATS.clear()
+
+    epochs = plan_epochs(segments, registry, from_ts=prev.watermark_ts,
+                         upto_ts=upto_ts, **_plan_caps(cfg))
+    if max_epochs is not None:
+        epochs = epochs[:max_epochs]
+    return _drive_epochs(cfg, lake, Changefeed({"": registry}), prev, epochs)
+
+
+def tail_replay(cfg: ReplayConfig, poll_secs: float = 0.5,
+                idle_timeout: float | None = None,
+                stop_file: str | None = None,
+                max_epochs: int | None = None) -> ReplayResult:
+    """Continuous tailing daemon: `run_replay` in the `tail_epochs` poll
+    loop. Restart later to resume from the checkpoint — identical
+    semantics to any crash/resume."""
+    return tail_epochs(lambda budget: run_replay(cfg, max_epochs=budget),
+                       poll_secs, idle_timeout, stop_file, max_epochs)
 
 
 def merge_optimistic_registries(regs: list[SchemaRegistry]) -> SchemaRegistry:
@@ -1075,6 +1029,25 @@ def _remount_table(t: pa.Table, shard_reg: SchemaRegistry,
     return pa.concat_tables(pieces) if pieces else t
 
 
+def shard_stream(wal_dirs: list[str], upto_ts: int | None = None):
+    """The merged change stream of N shard WALs → (every shard's segments
+    in watermark order, frontier), or None while any shard has delivered
+    nothing. The frontier is min over shards of their last watermark (the
+    A1 min-over-spans rule), capped at `upto_ts`. A shard with ZERO
+    segments is frontier-holding, not ignorable: its data (at unknown
+    commit_ts) has simply not been delivered yet, and committing past it
+    would let plan_epochs' from_ts predicate filter those events out
+    forever on catch-up (silent loss)."""
+    shard_segs = [list_segments(d) for d in wal_dirs]
+    if any(not s for s in shard_segs):
+        return None
+    frontier = min(s[-1].watermark_ts for s in shard_segs)
+    if upto_ts is not None:
+        frontier = min(frontier, upto_ts)
+    return sorted((seg for segs in shard_segs for seg in segs),
+                  key=lambda s: (s.watermark_ts, s.path)), frontier
+
+
 def _run_replay_optimistic(cfg: ReplayConfig, wal_dirs: list[str],
                            upto_ts: int | None) -> ReplayResult:
     """Optimistic shard-merge: synthesize the merged registry and drive
@@ -1090,48 +1063,28 @@ def _run_replay_optimistic(cfg: ReplayConfig, wal_dirs: list[str],
     lake = LakeState(cfg.lake_dir)
     key_mapping = cfg.shard_key_mapping
     if key_mapping:
-        # mirror of the shard_key_mapping+two_pass guard in _execute_epoch:
-        # the mapping moves into cfg.remount_shards below, which the epoch
-        # guard never sees — but the thin winner pass still reads RAW
-        # unmapped doc_ids, so signatures/partitions would mismatch the
-        # remounted main pass and the filter would drop every event
-        if (cfg.replay_mode == "two_pass"
-                and any(m is not None for m in key_mapping.values())):
-            raise ValueError(
-                "replay_mode='two_pass' cannot be combined with per-shard "
-                "column mapping in optimistic shard-merge: the thin winner "
-                "pass reads unmapped keys while the main pass remounts them")
         cfg = dataclasses.replace(cfg, shard_key_mapping=None)
     regs = [load_registry(d) for d in wal_dirs]
     merged = merge_optimistic_registries(regs)
     prev = lake.latest()
     assert prev is not None, "call bootstrap() first"
 
-    shard_segs = [list_segments(d) for d in wal_dirs]
-    if any(not s for s in shard_segs):    # empty shard holds the frontier
+    stream = shard_stream(wal_dirs, upto_ts)
+    if stream is None:
         return ReplayResult()
-    frontier = min(s[-1].watermark_ts for s in shard_segs)
-    if upto_ts is not None:
-        frontier = min(frontier, upto_ts)
-
+    merged_segs, frontier = stream
+    assert all(s.format == "parquet" for s in merged_segs), \
+        "optimistic shard-merge expects parquet WAL shards"
     remount_map: dict[str, tuple] = {}
-    for i, d in enumerate(wal_dirs):
-        for s in shard_segs[i]:
-            assert s.format == "parquet", \
-                "optimistic shard-merge expects parquet WAL shards"
+    for d, reg in zip(wal_dirs, regs):
         ad = os.path.abspath(d)
-        remount_map[ad] = (regs[i].to_json(),
+        remount_map[ad] = (reg.to_json(),
                            key_mapping.get(ad) if key_mapping else None)
     cfg = dataclasses.replace(cfg, remount_shards=remount_map)
 
-    merged_segs = sorted((seg for segs in shard_segs for seg in segs),
-                         key=lambda s: (s.watermark_ts, s.path))
     epochs = plan_epochs(merged_segs, merged, from_ts=prev.watermark_ts,
-                         max_segments_per_epoch=cfg.max_segments_per_epoch,
-                         upto_ts=frontier,
-                         syncpoint_interval=cfg.syncpoint_interval,
-                         max_bytes_per_epoch=_epoch_byte_cap(cfg))
-    return _drive_epochs(cfg, lake, merged, prev, epochs)
+                         upto_ts=frontier, **_plan_caps(cfg))
+    return _drive_epochs(cfg, lake, Changefeed({"": merged}), prev, epochs)
 
 
 def run_replay_sharded(cfg: ReplayConfig, wal_dirs: list[str],
@@ -1183,25 +1136,13 @@ def run_replay_sharded(cfg: ReplayConfig, wal_dirs: list[str],
     prev = lake.latest()
     assert prev is not None, "call bootstrap() first"
 
-    shard_segs = [list_segments(d) for d in wal_dirs]
-    # A shard with ZERO segments is frontier-holding, not ignorable: its
-    # data (at unknown commit_ts) has simply not been delivered yet, and
-    # committing past it would let plan_epochs' from_ts predicate filter
-    # those events out forever on catch-up (silent loss). The pessimist
-    # min-over-spans rule applies to every declared shard, delivered or not.
-    if any(not s for s in shard_segs):
+    stream = shard_stream(wal_dirs, upto_ts)
+    if stream is None:
         return ReplayResult()
-    frontier = min(s[-1].watermark_ts for s in shard_segs)
-    if upto_ts is not None:
-        frontier = min(frontier, upto_ts)
-    merged = sorted((seg for segs in shard_segs for seg in segs),
-                    key=lambda s: (s.watermark_ts, s.path))
+    merged, frontier = stream
     epochs = plan_epochs(merged, registry, from_ts=prev.watermark_ts,
-                         max_segments_per_epoch=cfg.max_segments_per_epoch,
-                         upto_ts=frontier,
-                         syncpoint_interval=cfg.syncpoint_interval,
-                         max_bytes_per_epoch=_epoch_byte_cap(cfg))
-    return _drive_epochs(cfg, lake, registry, prev, epochs)
+                         upto_ts=frontier, **_plan_caps(cfg))
+    return _drive_epochs(cfg, lake, Changefeed({"": registry}), prev, epochs)
 
 
 def gc_wal(wal_dir: str, lake_dir: str) -> dict:
@@ -1224,67 +1165,91 @@ def gc_wal(wal_dir: str, lake_dir: str) -> dict:
     return {"segments_removed": removed, "watermark_ts": m.watermark_ts}
 
 
-def compact_lake(lake_dir: str, parts: list[int] | None = None) -> dict:
-    """Offline/background MoR compaction job: fold every partition with a
-    pending delta chain into a fresh base file and commit one manifest
-    epoch — compaction decoupled from replay (the background-compaction
-    service a lake needs when `compact_every` is set high to keep ingest
-    latency flat). One Ray task per partition (distributed, no shuffle —
-    each task reads only its own chain); the manifest commit is the usual
-    atomic rename, so a crash mid-compaction changes nothing."""
-    import json as _json
+def _carried_stats(m: Manifest) -> dict:
+    """Manifest stats a maintenance commit must keep: per-table progress
+    and the key collation every later fold compares keys under."""
+    return {k: m.stats[k] for k in ("tables", "dropped_tables",
+                                    "key_collation") if k in m.stats}
 
+
+def compact_chains(lake_dir: str, select=None,
+                   count_key: str = "parts_folded") -> dict:
+    """Offline/background MoR compaction job for either lake kind: fold
+    every chain with pending deltas (and `select(key)` true) into a fresh
+    base under ITS table's registry, committed schema version and the
+    lake's key collation, then commit one manifest epoch — compaction
+    decoupled from replay (the background-compaction service a lake needs
+    when `compact_every` is set high to keep ingest latency flat). One Ray
+    task per chain (distributed, no shuffle — each task reads only its own
+    chain); the manifest commit is the usual atomic rename, so a crash
+    mid-compaction changes nothing."""
     from ..stages.merge import _atomic_write, fold_part
 
     lake = LakeState(lake_dir)
     m = lake.latest()
     assert m is not None, "no committed manifest"
-    registry = SchemaRegistry.from_json(m.registry_json)
-    todo = [int(p) for p, meta in m.parts.items()
-            if meta.get("deltas") and (parts is None or int(p) in parts)]
+    layout = LakeLayout.of(m)
+    tables = layout.committed_tables(m)
+    collation = m.stats.get("key_collation", "binary")
+    todo = [key for key, meta in m.parts.items()
+            if meta.get("deltas") and (select is None or select(key))]
     if not todo:
-        return {"parts_folded": 0, "epoch": m.epoch}
+        return {count_key: 0, "epoch": m.epoch}
 
     epoch_no = m.epoch + 1
-    reg_json, cur_ver = registry.to_json(), m.schema_ver
-    data_dir = os.path.join(lake_dir, "data")
-    items = [{"part": p, "meta_json": _json.dumps(m.parts[str(p)])}
-             for p in todo]
+    items = []
+    for key in todo:
+        t_name, p = layout.split_key(key)
+        reg_json, ver = tables[t_name]
+        items.append({"key": key, "reg_json": reg_json, "ver": ver,
+                      "meta_json": json.dumps(m.parts[key]),
+                      "path": os.path.join(layout.data_dir(lake_dir, t_name),
+                                           f"part={p}",
+                                           f"epoch-{epoch_no:06d}.parquet")})
 
     def fold_write(t: pa.Table) -> pa.Table:
-        reg = SchemaRegistry.from_json(reg_json)
-        out = {"part": [], "path": [], "rows": [], "bytes": []}
-        for p, meta_json in zip(t["part"].to_pylist(),
-                                t["meta_json"].to_pylist()):
-            folded = fold_part(_json.loads(meta_json), reg, cur_ver)
-            path = os.path.join(data_dir, f"part={p}",
-                                f"epoch-{epoch_no:06d}.parquet")
-            _atomic_write(folded, path)
-            out["part"].append(p)
-            out["path"].append(path)
+        out = {"key": [], "rows": [], "bytes": []}
+        for row in t.to_pylist():
+            folded = fold_part(json.loads(row["meta_json"]),
+                               SchemaRegistry.from_json(row["reg_json"]),
+                               int(row["ver"]), collation)
+            _atomic_write(folded, row["path"])
+            out["key"].append(row["key"])
             out["rows"].append(folded.num_rows)
             out["bytes"].append(folded.nbytes)
         return pa.table(out)
 
-    stats = ray.data.from_items(items) \
-        .map_batches(fold_write, batch_format="pyarrow", batch_size=1) \
-        .take_all()
+    stats = ray.data.from_items(
+        items, override_num_blocks=max(1, len(items))) \
+        .map_batches(fold_write, batch_format="pyarrow",
+                     batch_size=1).take_all()
 
     new_parts = dict(m.parts)
+    by_key = {it["key"]: it for it in items}
     for r in stats:
-        old = new_parts[str(r["part"])]
-        new_parts[str(r["part"])] = {
-            "path": r["path"], "schema_ver": cur_ver, "rows": r["rows"],
+        old = new_parts[r["key"]]
+        new_parts[r["key"]] = {
+            "path": by_key[r["key"]]["path"],
+            "schema_ver": int(by_key[r["key"]]["ver"]), "rows": r["rows"],
             "watermark_ts": old.get("watermark_ts", m.watermark_ts),
             "bytes": r["bytes"], "deltas": []}
     m2 = Manifest(epoch=epoch_no, watermark_ts=m.watermark_ts,
-                  schema_ver=cur_ver, num_partitions=m.num_partitions,
+                  schema_ver=m.schema_ver, num_partitions=m.num_partitions,
                   registry_json=m.registry_json, parts=new_parts,
                   segments_applied=m.segments_applied,
-                  stats={"compaction": True, "parts_folded": len(stats)},
+                  stats={**_carried_stats(m), "compaction": True,
+                         count_key: len(stats)},
                   hash_fingerprint=m.hash_fingerprint)
     lake.commit(m2)
-    return {"parts_folded": len(stats), "epoch": epoch_no}
+    return {count_key: len(stats), "epoch": epoch_no}
+
+
+def compact_lake(lake_dir: str, parts: list[int] | None = None) -> dict:
+    """`compact_chains` on a one-table lake, optionally limited to
+    `parts`."""
+    keep = None if parts is None else {str(p) for p in parts}
+    return compact_chains(
+        lake_dir, None if keep is None else keep.__contains__)
 
 
 def repartition_lake(lake_dir: str, new_p: int) -> dict:
@@ -1303,8 +1268,6 @@ def repartition_lake(lake_dir: str, new_p: int) -> dict:
     - otherwise: one all-to-all exchange (read_lake → re-hash →
       groupby(part) writers) — unavoidable for a general re-hash.
     """
-    import json as _json
-
     from ..stages.merge import _atomic_write, fold_part
 
     lake = LakeState(lake_dir)
@@ -1316,6 +1279,8 @@ def repartition_lake(lake_dir: str, new_p: int) -> dict:
         return {"num_partitions": P, "epoch": m.epoch, "moved": 0}
     registry = SchemaRegistry.from_json(m.registry_json)
     reg_json, cur_ver = registry.to_json(), m.schema_ver
+    # keys route by their collation form, exactly as the engine hashes them
+    collation = m.stats.get("key_collation", "binary")
     epoch_no = m.epoch + 1
     data_dir = os.path.join(lake_dir, "data")
     wm = m.watermark_ts
@@ -1329,15 +1294,17 @@ def repartition_lake(lake_dir: str, new_p: int) -> dict:
                 "watermark_ts": wm}
 
     if new_p % P == 0:            # split: task per OLD part, no shuffle
-        items = [{"old": int(p), "meta_json": _json.dumps(meta)}
+        items = [{"old": int(p), "meta_json": json.dumps(meta)}
                  for p, meta in m.parts.items()]
 
         def split_write(tb: pa.Table) -> pa.Table:
             reg = SchemaRegistry.from_json(reg_json)
             out = []
             for row in tb.to_pylist():
-                folded = fold_part(_json.loads(row["meta_json"]), reg, cur_ver)
-                child = hash_partition(folded["doc_id"], new_p)
+                folded = fold_part(json.loads(row["meta_json"]), reg, cur_ver,
+                                   collation)
+                child = hash_partition(
+                    collation_key(folded["doc_id"], collation), new_p)
                 for c in range(row["old"], new_p, P):
                     piece = folded.filter(pa.array(child == c))
                     if piece.num_rows:
@@ -1353,15 +1320,15 @@ def repartition_lake(lake_dir: str, new_p: int) -> dict:
             parents = [m.parts[str(p)] for p in range(c, P, new_p)
                        if str(p) in m.parts]
             if parents:
-                items.append({"new": c, "metas_json": _json.dumps(parents)})
+                items.append({"new": c, "metas_json": json.dumps(parents)})
 
         def merge_write(tb: pa.Table) -> pa.Table:
             reg = SchemaRegistry.from_json(reg_json)
             out = []
             for row in tb.to_pylist():
                 folded = pa.concat_tables(
-                    [fold_part(meta, reg, cur_ver)
-                     for meta in _json.loads(row["metas_json"])])
+                    [fold_part(meta, reg, cur_ver, collation)
+                     for meta in json.loads(row["metas_json"])])
                 folded = folded.take(pc.sort_indices(
                     folded, sort_keys=[("doc_id", "ascending")]))
                 if folded.num_rows:
@@ -1375,8 +1342,8 @@ def repartition_lake(lake_dir: str, new_p: int) -> dict:
         ds = read_lake(lake_dir)
 
         def assign(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "part", pa.array(hash_partition(t["doc_id"], new_p)))
+            return t.append_column("part", pa.array(hash_partition(
+                collation_key(t["doc_id"], collation), new_p)))
 
         def part_write(t: pa.Table) -> pa.Table:
             c = int(t["part"][0].as_py())
@@ -1396,7 +1363,8 @@ def repartition_lake(lake_dir: str, new_p: int) -> dict:
     m2 = Manifest(epoch=epoch_no, watermark_ts=wm, schema_ver=cur_ver,
                   num_partitions=new_p, registry_json=m.registry_json,
                   parts=parts, segments_applied=list(m.segments_applied),
-                  stats={"repartitioned_from": P, "parts_written": len(parts)},
+                  stats={**_carried_stats(m), "repartitioned_from": P,
+                         "parts_written": len(parts)},
                   hash_fingerprint=m.hash_fingerprint)
     lake.commit(m2)
     return {"num_partitions": new_p, "epoch": epoch_no,
@@ -1425,8 +1393,6 @@ def read_lake(lake_dir: str, wal_dir: str | None = None,
     merge-on-read sink. CoW lakes (empty chains) reduce to a plain read.
     `epoch` pins a specific committed manifest (time travel to a
     syncpoint); default = latest."""
-    import json as _json
-
     from ..stages.merge import fold_part
 
     lake = LakeState(lake_dir)
@@ -1445,11 +1411,11 @@ def read_lake(lake_dir: str, wal_dir: str | None = None,
     if not metas:
         return ray.data.from_arrow(registry.schema(cur_ver).empty_table())
 
-    items = [{"meta_json": _json.dumps(meta)} for meta in metas]
+    items = [{"meta_json": json.dumps(meta)} for meta in metas]
 
     def fold_batch(t: pa.Table) -> pa.Table:
         reg = SchemaRegistry.from_json(reg_json)
-        outs = [fold_part(_json.loads(s), reg, cur_ver, collation)
+        outs = [fold_part(json.loads(s), reg, cur_ver, collation)
                 for s in t["meta_json"].to_pylist()]
         return pa.concat_tables(outs)
 

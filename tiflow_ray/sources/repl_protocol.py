@@ -671,23 +671,27 @@ def index_binlog_dir(wal_dir: str,
         pairs.extend(C.binlog_ddl_pairs(data))
         t = C.decode_mysql_binlog(data)
         cts = t["commit_ts"].to_pylist() if t.num_rows else []
-        meta = {"seq": seq, "watermark_ts": int(max(cts)) if cts else 0,
-                "min_ts": int(min(cts)) if cts else 0,
-                "max_ts": int(max(cts)) if cts else 0,
-                "rows": t.num_rows, "format": "mysql_binlog",
-                "columns": list(t.column_names)}
-        with open(os.path.join(wal_dir, f"seq={seq:05d}.meta.json"),
-                  "w") as fh:
-            json.dump(meta, fh)
-        metas.append(meta)
+        metas.append({"seq": seq,
+                      "watermark_ts": int(max(cts)) if cts else 0,
+                      "min_ts": int(min(cts)) if cts else 0,
+                      "max_ts": int(max(cts)) if cts else 0,
+                      "rows": t.num_rows, "format": "mysql_binlog",
+                      "columns": list(t.column_names)})
     reg = C.registry_from_ddl_pairs(pairs)
     uniq = sorted({(int(b), s) for b, s in pairs})
-    tmp = f"{side}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(uniq, fh)
-    os.replace(tmp, side)
-    tmp = os.path.join(wal_dir, f"ddl.json.tmp.{os.getpid()}")
-    with open(tmp, "w") as fh:
-        fh.write(reg.to_json())
-    os.replace(tmp, os.path.join(wal_dir, "ddl.json"))
+
+    def publish(path: str, text: str) -> None:
+        tmp = f"{path}.tmp.{os.getpid()}"
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+
+    # the schedule first, the segment metas after: a planner that lists a
+    # segment and then loads ddl.json (replay.run_replay) always sees
+    # every DDL that segment carries
+    publish(side, json.dumps(uniq))
+    publish(os.path.join(wal_dir, "ddl.json"), reg.to_json())
+    for meta in metas:
+        publish(os.path.join(wal_dir, f"seq={meta['seq']:05d}.meta.json"),
+                json.dumps(meta))
     return metas

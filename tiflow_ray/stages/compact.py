@@ -154,68 +154,3 @@ def assign_partition(t: pa.Table, num_partitions: int,
     when the combiner is enabled)."""
     part = (_key_hash(t, collation) % np.uint64(num_partitions)).astype(np.uint32)
     return t.append_column("part", pa.array(part))
-
-
-# ---------------------------------------------------------------------------
-# two-pass thin-winner support: a 64-bit signature of the full event identity
-# (key hash ⊕ commit_ts ⊕ start_ts ⊕ op, splitmix-mixed). Pass 1 computes
-# winner signatures over THIN rows; pass 2 keeps only payload rows whose
-# signature is in the winner set. Signature collisions only ever ADMIT an
-# extra row (false positive) — the per-partition final reduce removes it —
-# never drop a winner.
-# ---------------------------------------------------------------------------
-
-_SM1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM2 = np.uint64(0x94D049BB133111EB)
-
-
-def event_signature(t: pa.Table, collation: str = "binary") -> np.ndarray:
-    h = _key_hash(t, collation)
-    cts = t["commit_ts"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    sts = t["start_ts"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    op = t["op"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        x = h ^ (cts * _SM1) ^ (sts * _SM2) ^ (op << np.uint64(56))
-        x ^= x >> np.uint64(30)
-        x *= _SM1
-        x ^= x >> np.uint64(27)
-    return x
-
-
-def filter_by_signature(t: pa.Table, winner_sigs_sorted: np.ndarray,
-                        collation: str = "binary") -> pa.Table:
-    """Keep rows whose event signature is in the (sorted) winner set."""
-    if t.num_rows == 0:
-        return t
-    if len(winner_sigs_sorted) == 0:
-        return t.slice(0, 0)
-    sig = event_signature(t, collation)
-    idx = np.searchsorted(winner_sigs_sorted, sig)
-    np.clip(idx, 0, len(winner_sigs_sorted) - 1, out=idx)
-    keep = winner_sigs_sorted[idx] == sig
-    return t if keep.all() else t.filter(pa.array(keep))
-
-
-def filter_by_signature_sharded(t: pa.Table, sig_map: dict,
-                                collation: str = "binary",
-                                part_col: str = "part") -> pa.Table:
-    """Sharded variant: `t` carries a partition column (`part_col` —
-    "part" single-table, "tpart" for the multi-table (table, part) key);
-    each row is checked against ONLY its partition's sorted sig block
-    (plasma-backed views — no task ever materializes the union of the
-    blocks)."""
-    if t.num_rows == 0:
-        return t
-    sig = event_signature(t, collation)
-    parts = t[part_col].to_numpy(zero_copy_only=False)
-    keep = np.zeros(t.num_rows, bool)
-    for p in np.unique(parts):
-        blk = sig_map.get(int(p))
-        if blk is None or len(blk) == 0:
-            continue
-        sel = parts == p
-        s = sig[sel]
-        idx = np.searchsorted(blk, s)
-        np.clip(idx, 0, len(blk) - 1, out=idx)
-        keep[sel] = blk[idx] == s
-    return t if keep.all() else t.filter(pa.array(keep))

@@ -8,7 +8,8 @@ epoch's image columns, domain validation, and (optionally) invariant checks —
 a stateless vectorized `map_batches` body (the pool is free via Ray).
 
 Also hosts the event filters (pkg/filter/filter.go:164-240 analog): drop
-events by `source` value or by ts range.
+events by `source` value, by ts range or by keep-masks, and (for a
+multi-table changefeed) reject rows of undeclared tables.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ class Normalize:
     """Callable batch transform; constructed per epoch with that epoch's
     image fields, so the output schema is uniform across all batches.
     `enforce_range`/type-conformance cover sources without pushdown/typed
-    schemas (JSONL change files — the canal-json decode analog, M10)."""
+    schemas (JSONL change files — the canal-json decode analog, M10).
+
+    `masks` are fn(pa.Table) -> boolean keep-mask callables, AND-composed
+    over the same batch. `tables` is the set of declared tables of a
+    multi-table changefeed: rows of any other table fail loudly (use a
+    table filter to drop them, never silently), and `table_name` stays in
+    the output for the (table, part) exchange. None = one-table feed."""
 
     def __init__(self, image_fields, lo: int, hi: int,
                  ignore_sources: frozenset[str] = frozenset(),
                  validate: bool = False, enforce_range: bool = False,
-                 predicate=None):
+                 masks=(), tables: frozenset[str] | None = None):
         # accept names (legacy) or pa.Fields (typed conformance)
         self.image_cols = [f.name if isinstance(f, pa.Field) else f
                            for f in image_fields]
@@ -56,7 +63,11 @@ class Normalize:
         self.ignore_sources = ignore_sources
         self.validate = validate
         self.enforce_range = enforce_range
-        self.predicate = predicate   # user hook (M6 expression filter analog)
+        self.masks = list(masks)
+        self.tables = tables
+        if tables is not None:
+            self.image_cols.append("table_name")
+            self.types["table_name"] = pa.string()
 
     def __call__(self, t: pa.Table) -> pa.Table:
         if self.enforce_range:
@@ -81,11 +92,19 @@ class Normalize:
             # never drop deletes (they carry no source image)
             mask = pc.or_kleene(mask, pc.equal(t["op"], OP_DELETE))
             t = t.filter(pc.fill_null(mask, True))
-        if self.predicate is not None:
-            keep = self.predicate(t)
-            if not isinstance(keep, (pa.Array, pa.ChunkedArray)):
-                keep = pa.array(np.asarray(keep, dtype=bool))
-            t = t.filter(keep)
+        if self.masks:
+            keep = np.ones(t.num_rows, bool)
+            for m in self.masks:
+                keep &= np.asarray(m(t), dtype=bool)
+            t = t.filter(pa.array(keep))
+        if self.tables is not None:
+            unknown = set(pc.unique(t["table_name"]).to_pylist()) - self.tables
+            if unknown:
+                raise ValueError(
+                    f"multitable changefeed received events for undeclared "
+                    f"(or not-yet-created / already-dropped) table(s) "
+                    f"{sorted(unknown, key=str)} in epoch ({self.lo}, "
+                    f"{self.hi}]; active: {sorted(self.tables)}")
         cols = EVENT_KEY_COLS + self.image_cols
         missing = [c for c in cols if c not in t.column_names]
         for c in missing:  # untyped sources may omit all-null columns
