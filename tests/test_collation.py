@@ -231,3 +231,27 @@ def test_ci_repartition_then_replay_matches_oracle(tmp_path):
                                         collation="ci"))
     assert got.equals(exp), f"{got.num_rows} rows vs ci oracle {exp.num_rows}"
     assert LakeState(cfg.lake_dir).latest().stats.get("key_collation") == "ci"
+
+
+def test_ci_base_bootstraps_as_multitable_table(tmp_path):
+    """The multi-table bootstrap runs the single-table co-partition guard:
+    a base laid out under key_collation="ci" is accepted as a table of a
+    multi-table lake with the same collation, and a base laid out with a
+    different P is still refused."""
+    import pytest
+
+    from tiflow_ray.pipelines import multitable as mt
+    root = _setup(tmp_path, "ci")
+    base = os.path.join(root, "base")
+    for p, ok in ((8, True), (16, False)):
+        cfg = ReplayConfig(wal_dir=os.path.join(root, "wal"),
+                           lake_dir=os.path.join(root, f"mt_lake_p{p}"),
+                           num_partitions=p, key_collation="ci")
+        boot = lambda: mt.bootstrap_multitable(  # noqa: E731
+            cfg, {"t": SchemaRegistry([])}, {"t": base})
+        if ok:
+            m = boot()
+            assert sum(meta["rows"] for meta in m.parts.values()) == N
+        else:
+            with pytest.raises(ValueError, match="partitioned"):
+                boot()

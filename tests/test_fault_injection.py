@@ -9,6 +9,8 @@ duplicate work."""
 
 import os
 
+import pytest
+
 from tiflow_ray import oracle
 from tiflow_ray.config import ReplayConfig
 from tiflow_ray.pipelines import replay as rp
@@ -40,13 +42,17 @@ def make_kill_once(marker: str):
     return predicate
 
 
-def test_worker_crash_mid_epoch_converges(t1_fixture, tmp_path):
+@pytest.mark.parametrize("driver", ["task", "plan"])
+def test_worker_crash_mid_epoch_converges(t1_fixture, tmp_path, driver):
+    """Both epoch drivers: the single task (default for a small epoch) and
+    the Ray Data plan (forced by a batch_size below the epoch's rows)."""
     root, reg, *_ = t1_fixture
     marker = str(tmp_path / "killed.marker")
     cfg = ReplayConfig(wal_dir=os.path.join(root, "wal"),
                        lake_dir=str(tmp_path / "lake"),
                        num_partitions=8, max_segments_per_epoch=1,
-                       validate=True, event_predicate=make_kill_once(marker))
+                       validate=True, event_predicate=make_kill_once(marker),
+                       **({"batch_size": 64} if driver == "plan" else {}))
     rp.bootstrap(cfg, base_dir=os.path.join(root, "base"))
     res = rp.run_replay(cfg)
     assert os.path.exists(marker), "fault was never injected"

@@ -321,19 +321,20 @@ def test_multitable_rejects_undeclared_table(tmp_path):
         mt.run_replay_multitable(cfg, tables=two)
 
 
-def test_multitable_create_and_drop_table_lifecycle(tmp_path):
-    """CREATE TABLE joins the changefeed (empty) at its barrier; DROP
-    TABLE removes the table's chains from the manifest at its barrier
-    with a durable dropped-note. Both are ordinary epoch-cutting
-    barriers (cdc/owner/ddl_manager.go treats them as DDL jobs; the
-    sink adds/removes the table span)."""
+LIFECYCLE_CREATE_TD = 15_000
+LIFECYCLE_DROP_TA = 25_000
+
+
+def _lifecycle_setup(tmp_path):
+    """_setup's shape plus table td CREATEd at LIFECYCLE_CREATE_TD (no
+    base) and table ta DROPped at LIFECYCLE_DROP_TA → (root, regs,
+    lifecycle, base_dirs, wal_dir)."""
     regs = _registries()
     regs["td"] = SchemaRegistry([])          # created mid-stream
     names = sorted(regs)
     root = str(tmp_path / "mt")
     os.makedirs(root)
-    create_td = 15_000
-    drop_ta = 25_000
+    create_td, drop_ta = LIFECYCLE_CREATE_TD, LIFECYCLE_DROP_TA
     lcs = {t: mt.TableLifecycle() for t in names}
     lcs["td"] = mt.TableLifecycle(created_ts=create_td)
     lcs["ta"] = mt.TableLifecycle(dropped_ts=drop_ta)
@@ -405,7 +406,17 @@ def test_multitable_create_and_drop_table_lifecycle(tmp_path):
             sub, os.path.join(root, f"oracle_{t}", "wal"), 3, regs[t])
     # td has no base: give its oracle an empty base dir
     os.makedirs(os.path.join(root, "oracle_td", "base"), exist_ok=True)
+    return root, regs, lcs, base_dirs, wal_dir
 
+
+def test_multitable_create_and_drop_table_lifecycle(tmp_path):
+    """CREATE TABLE joins the changefeed (empty) at its barrier; DROP
+    TABLE removes the table's chains from the manifest at its barrier
+    with a durable dropped-note. Both are ordinary epoch-cutting
+    barriers (cdc/owner/ddl_manager.go treats them as DDL jobs; the
+    sink adds/removes the table span)."""
+    root, regs, lcs, base_dirs, wal_dir = _lifecycle_setup(tmp_path)
+    drop_ta = LIFECYCLE_DROP_TA
     cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=os.path.join(root, "lake"),
                        num_partitions=8, max_segments_per_epoch=2,
                        validate=True)

@@ -29,22 +29,20 @@ registry_json = json dict {T: registry_json}.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
 import pyarrow as pa
-import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from ..config import ReplayConfig
-from ..model import hash_fingerprint, hash_partition
+from ..model import hash_fingerprint
 from ..sources.wal import list_segments, plan_epochs
-from ..stages.merge import fold_part
 from ..stages.schema_evo import SchemaRegistry
 from ..state.checkpoint import LakeState, Manifest
 from .replay import (Changefeed, LakeLayout, ReplayResult, TableLifecycle,
-                     _drive_epochs, _plan_caps, compact_chains,
-                     shard_stream, tail_epochs)
+                     _drive_epochs, _plan_caps, check_copartitioned,
+                     compact_chains, fold_table, shard_stream, tail_epochs)
 
 
 
@@ -142,22 +140,14 @@ def bootstrap_multitable(cfg: ReplayConfig,
         if not bdir:
             continue
         for p in range(cfg.num_partitions):
-            files = sorted(__import__("glob").glob(
+            files = sorted(glob.glob(
                 os.path.join(bdir, f"part={p}", "*.parquet")))
             if not files:
                 continue
             assert len(files) == 1, files
-            sample = pq.read_table(files[0], columns=["doc_id"])["doc_id"]
-            sample = sample.slice(0, 256)
-            if len(sample) and not (
-                    hash_partition(sample, cfg.num_partitions) == p).all():
-                raise ValueError(
-                    f"{files[0]} is not hash(doc_id)%{cfg.num_partitions}"
-                    f"-partitioned; table {t_name} base layout P must equal "
-                    "ReplayConfig.num_partitions")
-            md = pq.read_metadata(files[0])
+            rows = check_copartitioned(files[0], p, cfg)
             parts[f"{t_name}/{p}"] = {
-                "path": files[0], "schema_ver": 1, "rows": md.num_rows,
+                "path": files[0], "schema_ver": 1, "rows": rows,
                 "watermark_ts": 0, "bytes": 0, "deltas": []}
     m = Manifest(epoch=0, watermark_ts=0, schema_ver=0,
                  num_partitions=cfg.num_partitions,
@@ -248,13 +238,11 @@ def run_replay_multitable_sharded(cfg: ReplayConfig, wal_dirs: list[str],
 
 def multitable_lake_to_table(lake_dir: str, table: str) -> pa.Table:
     """Materialize ONE table's current state (tests/validation scale):
-    fold each of its partitions' base⊕delta chains under ITS registry at
-    ITS committed schema version."""
+    `replay.fold_table` under ITS registry at ITS committed schema
+    version."""
     lake = LakeState(lake_dir)
     m = lake.latest()
     assert m is not None, "no manifest"
-    regs = {t: SchemaRegistry.from_json(rj)
-            for t, rj in json.loads(m.registry_json).items()}
     if table not in m.stats.get("tables", {}):
         note = m.stats.get("dropped_tables", {}).get(table)
         if note:
@@ -263,21 +251,8 @@ def multitable_lake_to_table(lake_dir: str, table: str) -> pa.Table:
                 f"(epoch {note['epoch']})")
         raise ValueError(f"table {table!r} is not part of this changefeed "
                          f"(have: {sorted(m.stats.get('tables', {}))})")
-    reg = regs[table]
-    ver = m.stats["tables"][table]["schema_ver"]
-    collation = m.stats.get("key_collation", "binary")
-    pieces = []
-    for key, meta in sorted(m.parts.items()):
-        t_name, _p = key.rsplit("/", 1)
-        if t_name != table:
-            continue
-        pieces.append(fold_part(meta, reg, ver, collation))
-    if not pieces:
-        return reg.schema(ver).empty_table()
-    out = pa.concat_tables(pieces)
-    return out.take(pc.sort_indices(out, sort_keys=[
-        ("doc_id", "ascending")]))
-
+    reg = SchemaRegistry.from_json(json.loads(m.registry_json)[table])
+    return fold_table(m, table, reg, m.stats["tables"][table]["schema_ver"])
 
 
 def tail_replay_multitable(cfg: ReplayConfig, poll_secs: float = 0.5,

@@ -2,36 +2,52 @@
 or for a multi-table changefeed (pipelines/multitable.py is the
 multi-table front end; single-table replay is the one-table case).
 
-One Ray Data pipeline per epoch (SURVEY.md §7 design one-liner):
+One stage chain per epoch, declared once (`_epoch_chain`) as Arrow→Arrow
+steps, each a map or a group-by-keys step:
 
-    read_parquet(segments ∩ (lo, hi], columns pruned to the epoch schema,
-                 commit_ts row-filter pushdown)
-      → map_batches Normalize            (mounter analog, stateless, Arrow;
-                                          keep-masks, declared-table check)
-      → map_batches split_combine        (per table: identity-change D+I
-                                          split + LWW combiner — hot-key
-                                          pre-reduce — fused with the
-                                          exchange key tid·P + hash(doc_id) % P)
-      → groupby("part").map_groups(merge_apply)
-                                         (THE one shuffle: deltas only, base
-                                          stays put; each (table, part)
-                                          group runs its table's MergeApply:
-                                          MoR appends winner deltas / folds
-                                          chains, CoW rewrites partitions)
-      → tiny stats table → driver commits manifest + checkpoint atomically
+    read(segments ∩ (lo, hi], columns pruned to the epoch schema,
+         commit_ts row-filter pushdown)
+      → map Normalize                (mounter analog, stateless, Arrow;
+                                      keep-masks, declared-table check)
+      → map split_combine            (per table: identity-change D+I split
+                                      + LWW combiner — hot-key pre-reduce —
+                                      fused with the exchange key
+                                      tid·P + hash(doc_id) % P)
+      [→ map add_salt → group (part, salt) presalt_reduce   when salting]
+      → group part: merge_apply      (deltas only, base stays put; each
+                                      (table, part) group runs its table's
+                                      MergeApply: MoR appends winner deltas
+                                      / folds chains, CoW rewrites parts)
+      → stats rows → driver commits manifest + checkpoint atomically
+
+Two drivers run the chain:
+
+- the Ray Data plan (`_run_plan`): maps become `map_batches`, group steps
+  `groupby(keys).map_groups` (THE shuffle), then `take_all`;
+- a single Ray task (`_epoch_task`): a pyarrow read of the same file
+  groups, each map over the whole table, each group step a stable sort by
+  its keys and one call per group.
+
+The one rule between them: a parquet epoch of at most one map batch
+(`ep.est_rows <= cfg.batch_size`) takes the task — the plan would add no
+map-side parallelism, only planning, scheduling and a shuffle, and the
+task holds no more rows than one `map_batches` call does. Larger epochs
+and codec epochs (whose readers are Ray datasources) take the plan. Both
+write the same bytes.
 
 Where a table lives on disk (data dir, manifest part key, registry and
 schema-version format) is decided in one place, LakeLayout.
 
 The driver (the "owner", cdc/owner/changefeed.go analog) only ever touches
 O(tables × P) metadata per epoch: per-chain stats, watermarks, the
-manifest. All row data moves task-to-task through the object store.
+manifest. All row data stays in Ray tasks and the object store.
 
 Fault tolerance: any crash before the manifest rename loses nothing — the
 next run re-plans from the last committed manifest and re-executes the epoch
 onto the same deterministic file names (redo-applier semantics,
 pkg/applier/redo.go; safe-mode §2.9: re-applying an applied prefix is a
-no-op because merge is REPLACE-natured).
+no-op because merge is REPLACE-natured). A worker death inside either
+driver is retried by Ray.
 """
 
 from __future__ import annotations
@@ -42,6 +58,8 @@ import glob
 import json
 import os
 import threading
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +74,7 @@ from ..config import ReplayConfig
 from ..model import collation_key, hash_partition
 from ..sources.wal import Epoch, list_segments, load_registry, plan_epochs
 from ..stages.compact import assign_partition, compact_batch
-from ..stages.merge import MergeApply
+from ..stages.merge import MergeApply, fold_part
 from ..stages.normalize import EVENT_KEY_COLS, Normalize
 from ..stages.update_split import split_updates
 from ..stages.schema_evo import DDL, SchemaRegistry
@@ -65,8 +83,9 @@ from ..state.checkpoint import LakeState, Manifest
 
 _READ_PLAN_LOCK = threading.Lock()
 
-#: per-epoch ray.data execution-stats strings (ReplayConfig.collect_stats);
-#: cleared at each run_replay call that collects — diagnostics only, never
+#: per-epoch execution-stats strings (ReplayConfig.collect_stats): the plan
+#: driver's ray.data stats or the single-task driver's per-step seconds;
+#: cleared at each replay call that collects — diagnostics only, never
 #: read by the engine
 LAST_EPOCH_STATS: list[str] = []
 _STATS_LOCK = threading.Lock()
@@ -90,6 +109,25 @@ class ReplayResult:
     @property
     def events(self) -> int:
         return sum(e.events for e in self.epochs)
+
+
+def check_copartitioned(path: str, part: int, cfg: ReplayConfig) -> int:
+    """Bootstrap's co-partitioning guard for one base file of `part`: a
+    base laid out with a DIFFERENT P, or hashed under another key
+    collation, would silently duplicate rows at merge time — sample the
+    first 256 keys and verify they hash to `part`. → the file's row
+    count."""
+    f = pq.ParquetFile(path)
+    sample = next(f.iter_batches(batch_size=256, columns=["doc_id"]), None)
+    if sample is not None and sample.num_rows and not (hash_partition(
+            collation_key(sample.column(0), cfg.key_collation),
+            cfg.num_partitions) == part).all():
+        raise ValueError(
+            f"{path} is not hash(doc_id)%{cfg.num_partitions}-partitioned "
+            f"under key_collation={cfg.key_collation!r} (found part={part} "
+            "rows hashing elsewhere); base layout P must equal "
+            "ReplayConfig.num_partitions")
+    return f.metadata.num_rows
 
 
 def bootstrap(cfg: ReplayConfig, base_dir: str | None = None) -> Manifest:
@@ -116,20 +154,9 @@ def bootstrap(cfg: ReplayConfig, base_dir: str | None = None) -> Manifest:
             if not files:
                 continue
             assert len(files) == 1, f"expected one bootstrap file per part: {files}"
-            # co-partitioning guard: a base laid out with a DIFFERENT P would
-            # silently duplicate rows at merge time — sample and verify
-            sample = pq.read_table(files[0], columns=["doc_id"]).column("doc_id")
-            sample = sample.slice(0, 256)
-            if len(sample) and not (hash_partition(
-                    collation_key(sample, cfg.key_collation),
-                    cfg.num_partitions) == p).all():
-                raise ValueError(
-                    f"{files[0]} is not hash(doc_id)%{cfg.num_partitions}"
-                    f"-partitioned (found part={p} rows hashing elsewhere); "
-                    "base layout P must equal ReplayConfig.num_partitions")
-            md = pq.read_metadata(files[0])
+            rows = check_copartitioned(files[0], p, cfg)
             parts[str(p)] = {"path": files[0], "schema_ver": 1,
-                             "rows": md.num_rows, "watermark_ts": 0,
+                             "rows": rows, "watermark_ts": 0,
                              "bytes": 0, "deltas": []}
     from ..model import hash_fingerprint
     m = Manifest(epoch=0, watermark_ts=0, schema_ver=1,
@@ -309,36 +336,139 @@ class RemountStage:
         return rt.select(self.read_cols)
 
 
-def _read_remounted(cfg: ReplayConfig, registry: SchemaRegistry, ep: Epoch,
-                    read_cols: list[str], read_kwargs: dict):
-    """Optimistic shard-merge epoch read: group the epoch's files by
-    (shard dir, physical schema) — a shard's segments straddling its own
-    DDL barrier have different physical schemas, and read_parquet needs a
-    uniform fragment schema per dataset — read each group with the same
-    commit_ts pushdown as the plain path, remount per batch, and union.
-    Parallelism: per-group override_num_blocks is prorated by file count
-    so the fan-out matches the plain read's."""
-    flt = (pads.field("commit_ts") > ep.lo) & (pads.field("commit_ts") <= ep.hi)
-    groups: dict[tuple, list] = {}
+@dataclass(frozen=True)
+class Step:
+    """One Arrow→Arrow step of an epoch's chain: a map over the event
+    stream (`keys` empty) or one `fn` call per group of rows that share
+    `keys`."""
+    name: str
+    fn: Callable[[pa.Table], pa.Table]
+    keys: tuple[str, ...] = ()
+
+    def run(self, t: pa.Table) -> pa.Table:
+        """The step over one in-memory table (the single-task driver): a
+        map applies `fn` to the whole table; a group step stable-sorts by
+        the keys and calls `fn` once per group."""
+        if not self.keys:
+            return self.fn(t)
+        if not t.num_rows:
+            return t                     # no groups, hence no output rows
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[(k, "ascending") for k in self.keys]))
+        new = np.zeros(t.num_rows - 1, bool)
+        for k in self.keys:
+            v = t[k].to_numpy()
+            new |= v[1:] != v[:-1]
+        cuts = [0, *(np.flatnonzero(new) + 1).tolist(), t.num_rows]
+        return pa.concat_tables([self.fn(t.slice(a, b - a))
+                                 for a, b in zip(cuts, cuts[1:])])
+
+
+@dataclass
+class ParquetRead:
+    """An epoch's parquet segments as read groups, declared once for both
+    drivers. Each group is (files, columns, per-group map) and is read
+    with the commit_ts pushdown; `mapping` (the shard column mapping)
+    runs over the union and needs each row's segment path."""
+    lo: int
+    hi: int
+    groups: list[tuple[list[str], list[str] | None, Callable | None]]
+    mapping: Callable | None = None
+
+    def _filter(self):
+        return (pads.field("commit_ts") > self.lo) \
+            & (pads.field("commit_ts") <= self.hi)
+
+    def dataset(self, read_kwargs: dict,
+                batch_size: int) -> "ray.data.Dataset":
+        """The Ray Data read: one read_parquet per group, override_num_blocks
+        prorated by file count so the fan-out matches a one-group read's."""
+        n_files = sum(len(files) for files, _, _ in self.groups)
+        nblocks = read_kwargs.get("override_num_blocks")
+        parts = []
+        for files, cols, post in self.groups:
+            kw = dict(read_kwargs)
+            if nblocks:
+                kw["override_num_blocks"] = max(
+                    1, round(nblocks * len(files) / n_files))
+            if self.mapping is not None:
+                kw["include_paths"] = True
+            ds = ray.data.read_parquet(files, columns=cols,
+                                       filter=self._filter(), **kw)
+            if post is not None:
+                ds = ds.map_batches(post, batch_format="pyarrow",
+                                    batch_size=batch_size)
+            parts.append(ds)
+        ds = _union_ds(parts)
+        if self.mapping is not None:
+            ds = ds.map_batches(self.mapping, batch_format="pyarrow",
+                                batch_size=batch_size)
+        return ds
+
+    def table(self) -> pa.Table:
+        """The same read with pyarrow, as one table (the single-task
+        driver)."""
+        pieces = []
+        for files, cols, post in self.groups:
+            ds = pads.dataset(files, format="parquet")
+            if self.mapping is None:
+                t = ds.to_table(columns=cols, filter=self._filter())
+            else:
+                t = pa.concat_tables([
+                    _with_path(frag.to_table(schema=ds.schema, columns=cols,
+                                             filter=self._filter()),
+                               frag.path)
+                    for frag in ds.get_fragments()])
+            pieces.append(t if post is None else post(t))
+        t = pa.concat_tables(pieces, promote_options="default")
+        return t if self.mapping is None else self.mapping(t)
+
+
+def _with_path(t: pa.Table, path: str) -> pa.Table:
+    """read_parquet(include_paths=True)'s `path` column."""
+    return t.append_column("path", pa.array([os.path.abspath(path)]
+                                            * t.num_rows, pa.string()))
+
+
+def _parquet_read(cfg: ReplayConfig, feed: Changefeed, ep: Epoch,
+                  read_cols: list[str]) -> ParquetRead:
+    if cfg.remount_shards is not None:
+        # optimistic shard-merge: group by (shard dir, physical schema) — a
+        # shard's segments straddling its own DDL barrier have different
+        # physical schemas, and a read needs one fragment schema — and
+        # remount each group under the merged registry
+        groups: dict[tuple, list[str]] = {}
+        for f in ep.files:
+            sd = os.path.abspath(os.path.dirname(f))
+            groups.setdefault((sd, tuple(pq.read_schema(f).names)),
+                              []).append(f)
+        merged_json = feed.registries[""].to_json()
+        reads = []
+        for (sd, _names), files in groups.items():
+            shard_reg_json, rule = cfg.remount_shards[sd]
+            reads.append((files, None, RemountStage(
+                shard_reg_json, merged_json, rule, read_cols)))
+        return ParquetRead(ep.lo, ep.hi, reads)
+    # Parquet segments in one epoch may carry DIFFERENT column sets (a
+    # derived WAL whose producer learned a column after earlier rounds
+    # were written, per-table topic consumers, or plain pre/post-DDL
+    # straddles): requesting a column a file lacks is a read error, so
+    # group files by their own available∩wanted columns and union —
+    # Normalize null-fills what a group is missing (same shape as the
+    # codec col_map path).
+    cmap = dict(ep.col_map)
+    by_cols: dict[tuple, list[str]] = {}
     for f in ep.files:
-        sd = os.path.abspath(os.path.dirname(f))
-        names = tuple(pq.read_schema(f).names)
-        groups.setdefault((sd, names), []).append(f)
-    merged_json = registry.to_json()
-    nblocks = read_kwargs.get("override_num_blocks")
-    parts = []
-    for (sd, _names), files in groups.items():
-        kw = dict(read_kwargs)
-        if nblocks:
-            kw["override_num_blocks"] = max(
-                1, round(nblocks * len(files) / len(ep.files)))
-        shard_reg_json, rule = cfg.remount_shards[sd]
-        dsg = ray.data.read_parquet(files, filter=flt, **kw)
-        dsg = dsg.map_batches(
-            RemountStage(shard_reg_json, merged_json, rule, read_cols),
-            batch_format="pyarrow", batch_size=cfg.batch_size)
-        parts.append(dsg)
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+        avail = cmap.get(f) or ()
+        want = tuple(c for c in read_cols if not avail or c in avail)
+        by_cols.setdefault(want, []).append(f)
+    mapping = None
+    if cfg.shard_key_mapping:
+        from ..stages.column_mapping import mapping_stage
+        mapping = mapping_stage(cfg.shard_key_mapping)
+    return ParquetRead(ep.lo, ep.hi,
+                       [(fs, list(w), None) for w, fs in by_cols.items()],
+                       mapping)
 
 
 @dataclass(frozen=True)
@@ -477,10 +607,9 @@ def _event_masks(cfg: ReplayConfig) -> list:
 
 
 def _read_epoch(cfg: ReplayConfig, feed: Changefeed, ep: Epoch,
-                read_cols: list[str]) -> tuple["ray.data.Dataset", bool]:
-    """The epoch's raw events, pruned to `read_cols` → (dataset,
-    enforce_range): codecs carry no commit_ts pushdown, so Normalize must
-    range-filter their rows."""
+                read_cols: list[str]) -> "ray.data.Dataset":
+    """The epoch's raw events as a Ray dataset, parquet columns pruned to
+    `read_cols` (the plan driver's read)."""
     # block count ≫ cores: parquet files are few and large, so without an
     # override the read fans out only #files wide and the whole pipeline
     # starves past ~16 cores (measured 2-4x on the 20M-event bench)
@@ -489,48 +618,14 @@ def _read_epoch(cfg: ReplayConfig, feed: Changefeed, ep: Epoch,
     if ep.est_rows > 4 * 131072:
         read_kwargs["override_num_blocks"] = max(
             ncpu, min(8 * ncpu, ep.est_rows // 131072))
-    if cfg.shard_key_mapping and ep.fmt != "parquet":
-        raise ValueError("shard column mapping expects parquet WAL shards")
     # read PLANNING is not thread-safe in Ray (lazy fsspec imports race when
     # pipelined epochs plan concurrently) — serialize planning only;
     # execution itself streams outside the lock
     with _READ_PLAN_LOCK:
         if ep.fmt != "parquet":    # change-file codecs (M10 decode)
-            return read_codec_epoch(ep, read_kwargs, cfg.batch_size), True
-        if cfg.remount_shards is not None:
-            return _read_remounted(cfg, feed.registries[""], ep, read_cols,
-                                   read_kwargs), False
-        flt = (pads.field("commit_ts") > ep.lo) & (pads.field("commit_ts") <= ep.hi)
-        if cfg.shard_key_mapping:
-            read_kwargs["include_paths"] = True
-        # Parquet segments in one epoch may carry DIFFERENT column sets (a
-        # derived WAL whose producer learned a column after earlier rounds
-        # were written, per-table topic consumers, or plain pre/post-DDL
-        # straddles): requesting a column a file lacks is a read error, so
-        # group files by their own available∩wanted columns and union —
-        # Normalize null-fills what a group is missing (same shape as the
-        # codec col_map path).
-        cmap = dict(ep.col_map)
-        by_cols: dict[tuple, list[str]] = {}
-        for f in ep.files:
-            avail = cmap.get(f) or ()
-            want = tuple(c for c in read_cols if not avail or c in avail)
-            by_cols.setdefault(want, []).append(f)
-        if len(by_cols) == 1:
-            ds = ray.data.read_parquet(
-                list(ep.files), columns=list(next(iter(by_cols))),
-                filter=flt, **read_kwargs)
-        else:
-            ds = _union_ds([
-                ray.data.read_parquet(fs, columns=list(w),
-                                      filter=flt, **read_kwargs)
-                for w, fs in by_cols.items()])
-        if cfg.shard_key_mapping:
-            from ..stages.column_mapping import mapping_stage
-            ds = ds.map_batches(mapping_stage(cfg.shard_key_mapping),
-                                batch_format="pyarrow",
-                                batch_size=cfg.batch_size)
-        return ds, False
+            return read_codec_epoch(ep, read_kwargs, cfg.batch_size)
+        return _parquet_read(cfg, feed, ep, read_cols).dataset(
+            read_kwargs, cfg.batch_size)
 
 
 def split_combine(t: pa.Table, table_ids: dict[str, int],
@@ -574,14 +669,17 @@ def split_combine(t: pa.Table, table_ids: dict[str, int],
 def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
                    ep: Epoch, epoch_no: int,
                    allow_fold: bool = True) -> list[dict]:
-    """Run one epoch's data pipeline (read → normalize → split+combine →
-    (table, part) exchange → merge-write) and return the per-chain stats
-    rows. NO manifest side effects — commit happens in _commit_epoch."""
+    """Run one epoch's stage chain (read → normalize → split+combine →
+    (table, part) merge-write) on one of the two drivers and return the
+    per-chain stats rows. NO manifest side effects — commit happens in
+    _commit_epoch."""
     active = feed.active(ep)
     if not ep.files or not active:
         # a barrier-only epoch (DDL lands before any event in range): no
         # data moves; the commit alone advances schema_ver + watermark
         return []
+    if cfg.shard_key_mapping and ep.fmt != "parquet":
+        raise ValueError("shard column mapping expects parquet WAL shards")
     vers = {t: feed.registries[t].version_at(ep.hi) for t in active}
     image_fields = _image_fields(feed.registries, vers)
     read_cols = EVENT_KEY_COLS + [f.name for f in image_fields]
@@ -593,27 +691,45 @@ def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
         read_cols.append("table_name")
     if cfg.bdr_mode:
         read_cols.append("write_source")
-    ds, enforce_range = _read_epoch(cfg, feed, ep, read_cols)
-    ds = ds.map_batches(
-        Normalize(image_fields, ep.lo, ep.hi, cfg.ignore_sources,
-                  cfg.validate, enforce_range=enforce_range,
-                  masks=_event_masks(cfg),
-                  tables=frozenset(active) if feed.layout.multitable
-                  else None),
-        batch_format="pyarrow", batch_size=cfg.batch_size)
+    chain = _epoch_chain(cfg, feed, prev_parts, ep, epoch_no, allow_fold,
+                         vers, image_fields)
+    if ep.fmt == "parquet" and ep.est_rows <= cfg.batch_size:
+        # at most one map batch: the plan would add no map-side
+        # parallelism, only planning, scheduling and a shuffle
+        rows, secs = ray.get(_epoch_task.remote(
+            _parquet_read(cfg, feed, ep, read_cols), chain))
+        stats = "single-task driver: " + ", ".join(
+            f"{name} {s:.4f}s" for name, s in secs)
+    else:
+        out_ds = _run_plan(_read_epoch(cfg, feed, ep, read_cols), chain,
+                           cfg)
+        rows = out_ds.take_all()
+        stats = out_ds.stats() if cfg.collect_stats else ""
+    if cfg.collect_stats:
+        with _STATS_LOCK:
+            LAST_EPOCH_STATS.append(stats)
+    return rows
+
+
+def _epoch_chain(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
+                 ep: Epoch, epoch_no: int, allow_fold: bool,
+                 vers: dict[str, int], image_fields: list) -> list[Step]:
+    """The epoch's stage chain, declared once for both drivers."""
+    table_ids = feed.table_ids
+    chain = [Step("normalize", Normalize(
+        image_fields, ep.lo, ep.hi, cfg.ignore_sources, cfg.validate,
+        # codecs carry no commit_ts pushdown: Normalize range-filters
+        enforce_range=ep.fmt != "parquet", masks=_event_masks(cfg),
+        tables=frozenset(vers) if feed.layout.multitable else None))]
     # combiner + exchange key in one fused pass (hash computed once);
     # under auto_salt the same pass also measures per-key batch shares and
     # salts ONLY detected-hot keys (splitter_write.go analog)
-    table_ids = feed.table_ids
     dynamic_salt = cfg.auto_salt and cfg.salt_shuffle <= 1 and cfg.precompact
     hot_share = cfg.auto_salt_share if dynamic_salt else None
-    ds = ds.map_batches(
-        lambda t: split_combine(t, table_ids, cfg.num_partitions,
-                                precompact=cfg.precompact,
-                                hot_share=hot_share,
-                                salt_factor=cfg.auto_salt_factor,
-                                collation=cfg.key_collation),
-        batch_format="pyarrow", batch_size=cfg.batch_size)
+    chain.append(Step("split_combine", lambda t: split_combine(
+        t, table_ids, cfg.num_partitions, precompact=cfg.precompact,
+        hot_share=hot_share, salt_factor=cfg.auto_salt_factor,
+        collation=cfg.key_collation)))
 
     if cfg.salt_shuffle > 1 or dynamic_salt:
         # a (part, salt) pre-reduce collapses a hot key's sub-groups in
@@ -636,10 +752,8 @@ def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
                 "from_salted", pa.array(np.full(out.num_rows, salted)))
 
         if not dynamic_salt:
-            ds = ds.map_batches(add_salt, batch_format="pyarrow",
-                                batch_size=cfg.batch_size)
-        ds = ds.groupby(["part", "salt"]).map_groups(presalt_reduce,
-                                                     batch_format="pyarrow")
+            chain.append(Step("add_salt", add_salt))
+        chain.append(Step("presalt_reduce", presalt_reduce, ("part", "salt")))
 
     prev_by_table: dict[str, dict] = {}
     for key, meta in prev_parts.items():
@@ -648,11 +762,11 @@ def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
     merges = {table_ids[t]: (t, MergeApply(
         registry_json=feed.registries[t].to_json(),
         prev_parts=prev_by_table.get(t, {}), epoch=epoch_no,
-        epoch_ver=vers[t], watermark_ts=ep.hi,
+        epoch_ver=ver, watermark_ts=ep.hi,
         lake_data_dir=feed.layout.data_dir(cfg.lake_dir, t),
         sink_mode=cfg.sink_mode, compact_every=cfg.compact_every,
         allow_fold=allow_fold, online_validate=cfg.online_validate,
-        collation=cfg.key_collation)) for t in active}
+        collation=cfg.key_collation)) for t, ver in vers.items()}
     P = cfg.num_partitions
 
     def merge_apply(g: pa.Table) -> pa.Table:
@@ -667,16 +781,42 @@ def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
         out = merge(g)
         return out.append_column("table", pa.array([table] * out.num_rows))
 
-    kwargs = {}
-    if cfg.merge_concurrency:
-        kwargs["concurrency"] = cfg.merge_concurrency
-    out_ds = ds.groupby("part").map_groups(merge_apply,
-                                           batch_format="pyarrow", **kwargs)
-    stats_rows = out_ds.take_all()
-    if cfg.collect_stats:
-        with _STATS_LOCK:
-            LAST_EPOCH_STATS.append(out_ds.stats())
-    return stats_rows
+    chain.append(Step("merge_apply", merge_apply, ("part",)))
+    return chain
+
+
+def _run_plan(ds: "ray.data.Dataset", chain: list[Step],
+              cfg: ReplayConfig) -> "ray.data.Dataset":
+    """The Ray Data driver: each map step a map_batches, each group step a
+    groupby(keys).map_groups (THE shuffle); merge_concurrency sizes the
+    last (merge) step."""
+    for step in chain:
+        if not step.keys:
+            ds = ds.map_batches(step.fn, batch_format="pyarrow",
+                                batch_size=cfg.batch_size)
+            continue
+        kwargs = {}
+        if cfg.merge_concurrency and step is chain[-1]:
+            kwargs["concurrency"] = cfg.merge_concurrency
+        ds = ds.groupby(list(step.keys)).map_groups(
+            step.fn, batch_format="pyarrow", **kwargs)
+    return ds
+
+
+@ray.remote
+def _epoch_task(read: ParquetRead,
+                chain: list[Step]) -> tuple[list[dict], list[tuple]]:
+    """The single-task driver: the epoch's read and every step in one Ray
+    task (a worker death is retried by Ray like any plan task) → (stats
+    rows, per-step seconds)."""
+    t0 = time.perf_counter()
+    t = read.table()
+    secs = [("read", time.perf_counter() - t0)]
+    for step in chain:
+        t0 = time.perf_counter()
+        t = step.run(t)
+        secs.append((step.name, time.perf_counter() - t0))
+    return t.to_pylist(), secs
 
 
 def _table_progress(feed: Changefeed, prev: Manifest, ep: Epoch,
@@ -804,6 +944,9 @@ def _drive_epochs(cfg: ReplayConfig, lake: LakeState, feed: Changefeed,
         raise ValueError(
             "shard_key_mapping / remount_shards are set by single-table "
             "sharded replay only; a multi-table changefeed does not apply them")
+    if cfg.collect_stats:
+        with _STATS_LOCK:
+            LAST_EPOCH_STATS.clear()
     result = ReplayResult()
     next_no = prev.epoch + 1
 
@@ -851,8 +994,6 @@ def tail_epochs(step, poll_secs: float = 0.5,
     call in a poll loop. Stops when `idle_timeout` seconds pass with no new
     committed work, when `stop_file` appears (the operator's
     pause/remove-changefeed signal), or after `max_epochs` total."""
-    import time
-
     result = ReplayResult()
     idle_since = time.monotonic()
     while True:
@@ -887,9 +1028,6 @@ def run_replay(cfg: ReplayConfig, upto_ts: int | None = None,
     registry = load_registry(cfg.wal_dir)
     prev = lake.latest()
     assert prev is not None, "call bootstrap() first"
-    if cfg.collect_stats:
-        with _STATS_LOCK:
-            LAST_EPOCH_STATS.clear()
 
     epochs = plan_epochs(segments, registry, from_ts=prev.watermark_ts,
                          upto_ts=upto_ts, **_plan_caps(cfg))
@@ -1386,6 +1524,39 @@ def list_syncpoints(lake_dir: str) -> list[dict]:
     return out
 
 
+def _pinned_manifest(lake_dir: str, wal_dir: str | None,
+                     epoch: int | None) -> tuple[Manifest, SchemaRegistry]:
+    """The manifest to read (`epoch` pins a committed one, default the
+    latest) and its registry: the manifest's own registry makes the lake
+    self-describing; a wal_dir override only matters for pre-registry
+    manifests."""
+    lake = LakeState(lake_dir)
+    m = lake.latest() if epoch is None else lake.load(epoch)
+    assert m is not None, "no committed manifest"
+    registry = (SchemaRegistry.from_json(m.registry_json)
+                if m.registry_json != "[]" or not wal_dir
+                else load_registry(wal_dir))
+    return m, registry
+
+
+def fold_table(m: Manifest, table: str, registry: SchemaRegistry,
+               ver: int) -> pa.Table:
+    """One table's state at manifest `m`, folded in the caller: every
+    chain of `table` (base ⊕ delta chain, in sorted key order) under
+    `registry` at schema version `ver` and the lake's key collation,
+    concatenated and sorted by doc_id. The read direction of both lake
+    kinds (`lake_to_table`, `multitable.multitable_lake_to_table`)."""
+    layout = LakeLayout.of(m)
+    collation = m.stats.get("key_collation", "binary")
+    pieces = [fold_part(meta, registry, ver, collation)
+              for key, meta in sorted(m.parts.items())
+              if layout.split_key(key)[0] == table]
+    if not pieces:
+        return registry.schema(ver).empty_table()
+    out = pa.concat_tables(pieces)
+    return out.take(pc.sort_indices(out, sort_keys=[("doc_id", "ascending")]))
+
+
 def read_lake(lake_dir: str, wal_dir: str | None = None,
               epoch: int | None = None) -> ray.data.Dataset:
     """Lake table as a Dataset: one fold task per partition applies the
@@ -1393,16 +1564,7 @@ def read_lake(lake_dir: str, wal_dir: str | None = None,
     merge-on-read sink. CoW lakes (empty chains) reduce to a plain read.
     `epoch` pins a specific committed manifest (time travel to a
     syncpoint); default = latest."""
-    from ..stages.merge import fold_part
-
-    lake = LakeState(lake_dir)
-    m = lake.latest() if epoch is None else lake.load(epoch)
-    assert m is not None
-    # the manifest's own registry makes the lake self-describing; a wal_dir
-    # override only matters for pre-registry manifests
-    registry = (SchemaRegistry.from_json(m.registry_json)
-                if m.registry_json != "[]" or not wal_dir
-                else load_registry(wal_dir))
+    m, registry = _pinned_manifest(lake_dir, wal_dir, epoch)
     reg_json = registry.to_json()
     cur_ver = m.schema_ver
     collation = m.stats.get("key_collation", "binary")
@@ -1426,12 +1588,10 @@ def read_lake(lake_dir: str, wal_dir: str | None = None,
 
 def lake_to_table(lake_dir: str, wal_dir: str | None = None,
                   epoch: int | None = None) -> pa.Table:
-    """Materialize the lake (tests/small outputs only), sorted by doc_id."""
-    tbls = [pa.Table.from_pandas(b.to_pandas()) if not isinstance(b, pa.Table) else b
-            for b in read_lake(lake_dir, wal_dir, epoch=epoch).iter_batches(
-                batch_size=1 << 18, batch_format="pyarrow")]
-    if not tbls:
+    """Materialize a one-table lake in the driver (tests/small outputs
+    only), sorted by doc_id; a lake without rows raises "empty lake"."""
+    m, registry = _pinned_manifest(lake_dir, wal_dir, epoch)
+    t = fold_table(m, "", registry, m.schema_ver)
+    if not t.num_rows:
         raise ValueError("empty lake")
-    t = pa.concat_tables([x if isinstance(x, pa.Table) else pa.Table.from_batches([x])
-                          for x in tbls])
-    return t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))
+    return t
