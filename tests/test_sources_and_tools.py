@@ -425,7 +425,10 @@ action = "Ignore"
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(str(bad))
     # removed knobs fail the same way instead of being silently ignored
-    for knob in ("replay_mode = 'two_pass'", "shuffle_mode = 'direct'"):
+    for knob in ("replay_mode = 'two_pass'", "shuffle_mode = 'direct'",
+                 "safe_mode = false", "merge_concurrency = 4",
+                 "auto_salt_share = 0.5", "auto_salt_factor = 4",
+                 "salt_shuffle = 4"):
         bad.write_text(knob + "\n")
         with pytest.raises(ValueError, match="unknown config keys"):
             load_config(str(bad))
@@ -472,59 +475,54 @@ def test_extreme_hot_key_skew(tmp_path):
     assert got.equals(oracle.replay_to_table(root, reg))
 
 
-def test_salted_shuffle_same_result_under_skew(tmp_path):
-    """Explicit salted sub-partition pre-reduce (SURVEY §4): at 90%-on-3-docs
-    skew the salted path must produce the identical lake (LWW is an
-    associative max-by-order reduction, so salting can't change winners)."""
-    root = str(tmp_path / "hot_salt")
-    reg, metas, info = fixtures.generate_tier(
-        root, "t1_noddl", hot_frac=0.002, hot_share=0.9)
-    tables = {}
-    for salt in (0, 7):
-        cfg = ReplayConfig(wal_dir=f"{root}/wal",
-                           lake_dir=str(tmp_path / f"lake_s{salt}"),
-                           num_partitions=8, salt_shuffle=salt, validate=True)
-        rp.bootstrap(cfg, base_dir=f"{root}/base")
-        rp.run_replay(cfg)
-        tables[salt] = rp.lake_to_table(cfg.lake_dir, cfg.wal_dir)
-    assert tables[7].equals(tables[0])
-    assert tables[0].equals(oracle.replay_to_table(root, reg))
-
-
 def test_auto_salt_detects_hot_keys_and_matches_oracle(tmp_path):
     """Dynamic hot-key salting (splitter_write.go analog): with 90% of
-    events on ~3 docs the combiner must DETECT the hot keys (per-batch
-    share counts), route them through salted pre-reduce groups — evidenced
-    by manifest stats salted_events > 0 — and still produce the exact
-    unsalted oracle state."""
-    from tiflow_ray.state.checkpoint import LakeState
-    root = str(tmp_path / "hot_auto")
-    reg, metas, info = fixtures.generate_tier(
-        root, "t1_noddl", hot_frac=0.002, hot_share=0.9)
-    cfg = ReplayConfig(wal_dir=f"{root}/wal",
-                       lake_dir=str(tmp_path / "lake_auto"),
-                       num_partitions=8, auto_salt=True, validate=True)
-    rp.bootstrap(cfg, base_dir=f"{root}/base")
-    rp.run_replay(cfg)
-    got = rp.lake_to_table(cfg.lake_dir, cfg.wal_dir)
-    assert got.equals(oracle.replay_to_table(root, reg))
-    salted = sum(LakeState(cfg.lake_dir).load(e).stats.get("salted_events", 0)
-                 for e in LakeState(cfg.lake_dir).committed_epochs())
-    assert salted > 0, "hot keys must engage the salted route"
+    events on ~3 docs the salted (part, salt) pre-reduce must still
+    produce the exact unsalted oracle state, and so must a uniform
+    stream. Detection itself is checked batch by batch in
+    test_compact_batch_salts_only_hot_keys."""
+    for name, skew in (("hot", {"hot_frac": 0.002, "hot_share": 0.9}),
+                       ("flat", {})):
+        root = str(tmp_path / name)
+        reg, *_ = fixtures.generate_tier(root, "t1_noddl", **skew)
+        cfg = ReplayConfig(wal_dir=f"{root}/wal",
+                           lake_dir=str(tmp_path / f"lake_{name}"),
+                           num_partitions=8, auto_salt=True, validate=True)
+        rp.bootstrap(cfg, base_dir=f"{root}/base")
+        rp.run_replay(cfg)
+        assert rp.lake_to_table(cfg.lake_dir, cfg.wal_dir).equals(
+            oracle.replay_to_table(root, reg)), name
 
-    # no skew → detection must stay quiet (salt column all zero)
-    root2 = str(tmp_path / "flat_auto")
-    reg2, *_ = fixtures.generate_tier(root2, "t1_noddl")
-    cfg2 = ReplayConfig(wal_dir=f"{root2}/wal",
-                        lake_dir=str(tmp_path / "lake_flat"),
-                        num_partitions=8, auto_salt=True)
-    rp.bootstrap(cfg2, base_dir=f"{root2}/base")
-    rp.run_replay(cfg2)
-    assert rp.lake_to_table(cfg2.lake_dir, cfg2.wal_dir).equals(
-        oracle.replay_to_table(root2, reg2))
-    salted2 = sum(LakeState(cfg2.lake_dir).load(e).stats.get("salted_events", 0)
-                  for e in LakeState(cfg2.lake_dir).committed_epochs())
-    assert salted2 == 0, "uniform keys must not be salted"
+
+def test_compact_batch_salts_only_hot_keys():
+    """The detector, deterministically: in one batch where one key holds
+    90% of the events, that key's surviving rows carry a nonzero salt and
+    every other key keeps salt 0; a uniform batch salts nothing."""
+    from tiflow_ray.pipelines.replay import AUTO_SALT_FACTOR, AUTO_SALT_SHARE
+    from tiflow_ray.stages.compact import compact_batch
+
+    def batch(docs):
+        n = len(docs)
+        return pa.table({"op": pa.array(np.full(n, 2, np.uint8)),
+                         "commit_ts": pa.array(np.arange(1, n + 1,
+                                                         dtype=np.uint64)),
+                         "start_ts": pa.array(np.arange(n, dtype=np.uint64)),
+                         "doc_id": pa.array(docs)})
+
+    hot = ["hot"] * 900 + [f"d{i}" for i in range(100)]
+    out = compact_batch(batch(hot), 8, hot_share=AUTO_SALT_SHARE,
+                        salt_factor=AUTO_SALT_FACTOR)
+    ids = out["doc_id"].to_pylist()
+    salt = out["salt"].to_numpy()
+    # the combiner keeps the hot key's last writer (start_ts 899)
+    assert ids.count("hot") == 1
+    assert salt[ids.index("hot")] == 899 % AUTO_SALT_FACTOR != 0
+    assert not salt[[i for i, d in enumerate(ids) if d != "hot"]].any()
+
+    flat = compact_batch(batch([f"d{i % 500}" for i in range(1000)]), 8,
+                         hot_share=AUTO_SALT_SHARE,
+                         salt_factor=AUTO_SALT_FACTOR)
+    assert not flat["salt"].to_numpy().any()
 
 
 def test_cli_lifecycle_compact_walgc_export(t1_noddl_fixture, tmp_path):

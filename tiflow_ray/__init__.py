@@ -39,4 +39,4 @@ _logging.getLogger(
     "ray.data._internal.arrow_ops.transform_pyarrow").setLevel(
     _logging.ERROR)
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -171,10 +172,6 @@ def main(argv=None):
                     help="producer checkpoint json — makes the producer "
                          "STREAMING: repeat the command as the WAL "
                          "grows; only unsent segments are produced")
-    mp.add_argument("--multitable", action="store_true",
-                    help="the WAL is a multi-table changefeed "
-                         "(tables.json): route rows to per-table topics "
-                         "with per-table DDL control streams")
 
     ms = sub.add_parser("mysql-serve")   # MySQL-wire SQL endpoint
     ms.add_argument("--db", default=None,
@@ -214,12 +211,10 @@ def main(argv=None):
     mc.add_argument("--topic", default="changefeed")
     mc.add_argument("--idle-timeout", type=float, default=None)
     mc.add_argument("--stop-file", default=None)
-    mc.add_argument("--multitable", action="store_true",
-                    help="the spool is a multi-table changefeed; --base "
-                         "takes TABLE=DIR (repeatable)")
     mc.add_argument("--base-table", action="append", default=[],
                     metavar="TABLE=DIR",
-                    help="per-table bootstrap base (with --multitable)")
+                    help="per-table bootstrap base of a multi-table "
+                         "changefeed (its meta.json lists `tables`)")
 
     mg = sub.add_parser("mq-gc")       # spool retention (streaming mode)
     mg.add_argument("--messages", required=True)
@@ -490,7 +485,8 @@ def main(argv=None):
     elif a.cmd == "mq-produce":
         from .pipelines.mq import produce_mq, produce_mq_multitable
         assert a.out or a.broker, "need --out or --broker"
-        if a.multitable:
+        # a multi-table changefeed's WAL declares its tables
+        if os.path.exists(os.path.join(a.wal, "tables.json")):
             print(json.dumps(produce_mq_multitable(
                 a.wal, a.out or "", a.partitions, broker=a.broker)))
         else:
@@ -505,12 +501,7 @@ def main(argv=None):
     elif a.cmd == "mq-consume":
         from .pipelines.mq import (consume_mq, consume_mq_multitable,
                                    consume_mq_stream, tail_consume_mq)
-        if a.multitable:
-            bd = dict(kv.split("=", 1) for kv in a.base_table) or None
-            print(json.dumps(consume_mq_multitable(
-                a.messages, a.lake, base_dirs=bd,
-                num_partitions=a.partitions)))
-        elif a.follow:
+        if a.follow:
             assert a.broker, "--follow needs --broker host:port"
             print(json.dumps(tail_consume_mq(
                 a.broker, a.topic, a.messages, a.lake, base_dir=a.base,
@@ -525,13 +516,21 @@ def main(argv=None):
                 num_partitions=a.partitions,
                 upstream_wal=a.upstream_wal)))
         else:
-            grp = (a.group_member, a.group_size) \
-                if a.group_member is not None else None
-            print(json.dumps(consume_mq(a.messages, a.lake,
-                                        base_dir=a.base,
-                                        num_partitions=a.partitions,
-                                        upstream_wal=a.upstream_wal,
-                                        group=grp)))
+            with open(os.path.join(a.messages, "meta.json")) as f:
+                # a multi-table changefeed's index lists its tables
+                multitable = "tables" in json.load(f)
+            if multitable:
+                bd = dict(kv.split("=", 1) for kv in a.base_table) or None
+                print(json.dumps(consume_mq_multitable(
+                    a.messages, a.lake, base_dirs=bd,
+                    num_partitions=a.partitions)))
+            else:
+                grp = (a.group_member, a.group_size) \
+                    if a.group_member is not None else None
+                print(json.dumps(consume_mq(
+                    a.messages, a.lake, base_dir=a.base,
+                    num_partitions=a.partitions,
+                    upstream_wal=a.upstream_wal, group=grp)))
     elif a.cmd == "export":
         # streaming export: fold tasks write directly, one file per
         # partition-fold block — never materialized on the driver

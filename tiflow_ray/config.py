@@ -37,7 +37,6 @@ class ReplayConfig:
     batch_size: int = 524288          # rows per map_batches call (bigger batches
                                       # = stronger combiner reduction; measured
                                       # best at 512k on the 20M-event bench)
-    merge_concurrency: int | None = None   # actor/task parallelism for merge stage (None = Ray default)
 
     # sink shape
     sink_mode: str = "mor"            # "mor": append winner deltas, fold every
@@ -45,28 +44,19 @@ class ReplayConfig:
                                       # "cow": rewrite touched partitions each epoch
     compact_every: int = 8            # MoR: fold a partition when its chain hits this
 
-    # hot-key handling (SURVEY §4, splitter_write.go analog). The per-batch
-    # combiner already bounds a hot key's shuffle volume to O(#input blocks);
-    # salt_shuffle adds an EXPLICIT salted pre-reduce for pathological skew:
-    # events pre-reduce under (part, salt=hash(start_ts)%S) — a hot key's
-    # surviving rows shrink to ≤S before the final per-part exchange.
-    # LWW compaction is an associative max-by-order reduction, so salting
-    # never changes the winner. 0 = off (an extra shuffle only pays for
-    # itself when one key dominates entire partitions).
-    salt_shuffle: int = 0
-
-    # DYNAMIC hot-key salting (splitter_write.go:54-149 analog — the
-    # reference MEASURES written keys and splits hot spans; the static knob
-    # above salts everything blindly): the combiner counts each batch's
-    # keys and salts ONLY keys whose within-batch share exceeds
-    # auto_salt_share; everything else keeps salt 0, so the pre-reduce
-    # exchange degenerates to a plain per-part pre-reduce when no key is
-    # hot. Detection evidence (salted_events) lands in the manifest stats.
-    # Opt-in like salt_shuffle — the extra exchange only pays for itself
-    # under real skew; salt_shuffle>1 (static) wins when both are set.
+    # hot-key handling (SURVEY §4; splitter_write.go:54-149 analog — the
+    # reference MEASURES written keys and splits hot spans). The per-batch
+    # combiner already bounds a hot key's shuffle volume to O(#input
+    # blocks); auto_salt adds a salted pre-reduce for pathological skew:
+    # the combiner counts each batch's keys and salts ONLY keys whose
+    # within-batch share exceeds replay.AUTO_SALT_SHARE (salt =
+    # start_ts % replay.AUTO_SALT_FACTOR); everything else keeps salt 0.
+    # Events then pre-reduce under (part, salt) — a hot key's surviving
+    # rows shrink to ≤ the factor before the final per-part merge. LWW
+    # compaction is an associative max-by-order reduction, so salting never
+    # changes the winner. Opt-in: the extra exchange only pays for itself
+    # under real skew. Needs the combiner (precompact); without it, off.
     auto_salt: bool = False
-    auto_salt_share: float = 0.25     # batch-share above which a key is hot
-    auto_salt_factor: int = 8         # S sub-partitions for a hot key
 
     # sync-point (cdc/owner syncpoint analog): emit a consistent-snapshot
     # manifest at every multiple of this ts interval — the epoch planner
@@ -85,8 +75,8 @@ class ReplayConfig:
 
     # diagnostics: record ray.data per-stage execution stats (ds.stats())
     # for each epoch's merge pipeline in replay.LAST_EPOCH_STATS — the
-    # measurement loop behind stage sizing (batch_size, override_num_blocks,
-    # merge_concurrency); off by default (stats strings are large)
+    # measurement loop behind stage sizing (batch_size,
+    # override_num_blocks); off by default (stats strings are large)
     collect_stats: bool = False
 
     # handle-key collation (cdc/entry/mounter.go:75-91: TiDB handle keys
@@ -100,7 +90,6 @@ class ReplayConfig:
     # behavior toggles
     precompact: bool = True           # per-batch LWW combiner before shuffle (DM compactor, T6)
     validate: bool = False            # extra per-batch invariant checks (tests)
-    safe_mode: bool = True            # upsert-on-missing / delete-missing-ok (DM safe mode §2.9)
 
     # event filtering (M5/M7 analog): drop events whose `source` is in this set
     ignore_sources: frozenset[str] = field(default_factory=frozenset)

@@ -1,18 +1,20 @@
-"""MQ produce/consume pipelines — the message-queue leg of the sink
-matrix as a user-facing job, not just a stage.
+"""MQ produce/fetch/consume pipelines — the message-queue leg of the sink
+matrix as a user-facing job (cdc/sink/dmlsink/mq + cdc/sink/ddlsink/mq,
+cmd/kafka-consumer), not just a stage.
 
-`produce_mq` is the MQ DML+DDL sink (cdc/sink/dmlsink/mq +
-cdc/sink/ddlsink/mq): WAL events dispatch to partitions, each partition's
-stream is encoded (canal-json) with dense offsets, DDLs broadcast to every
-partition; streams land as parquet message logs under
-`out_dir/partition={p}/` — the durable stand-in for Kafka topics (no bus
-in the sandbox; the reference's storage sink makes the same move).
-
-`consume_mq` is the kafka-consumer analog (cmd/kafka-consumer): decode
-DML messages per partition (distributed), rebuild the schema registry
-from the DDL stream, materialize a derived WAL (the consumer's relay
-log), and drive the standard replay engine into a lake — proving the
-stream alone carries the full replicated state.
+One stream format. A topic is a single-table stream: per-partition
+message logs with dense offsets, a DDL broadcast repeating the table's
+schedule on every partition, and a descriptor — `partition={p}/`, `_ddl/`
+and `meta.json` in the file layout (the durable stand-in for Kafka topics,
+as in the reference's storage sink), `{topic}`, `{topic}.__ddl` and
+`{topic}.__meta` on a broker. `produce_mq` writes it, `fetch_mq` spools a
+broker topic back into the file layout, and `consume_mq` (batch) /
+`consume_mq_stream` (one resolved-ts round) decode each partition into a
+derived-WAL segment and replay it with the standard engine — the stream
+alone carries the replicated state. A multi-table changefeed is one such
+topic per table (EventRouter topic templates) under `topic={topic}/`, plus
+an index mapping tables to topics (`meta.json` with `tables`, or
+`__mt_meta`); the `*_multitable` functions run the pieces per topic.
 """
 
 from __future__ import annotations
@@ -162,40 +164,17 @@ def produce_mq(wal_dir: str, out_dir: str, num_partitions: int,
                     .map_groups(emit_partition, batch_format="pyarrow")
                     .take_all())                 # P rows — tiny
 
-    # DDL broadcast: in streaming mode only the not-yet-sent tail goes
-    # out (re-broadcasting would duplicate barrier messages in the
-    # control stream); the file layout always holds the full schedule
     ddl_sink = sink if protocol == "canal_json" else \
         MqSinkStage(database=database, table=table, protocol="canal_json")
     ddl_msgs = ddl_sink.ddl_stream(registry, num_partitions)
     k_ddl = ddl_msgs.num_rows // max(num_partitions, 1)
-    meta = {"protocol": protocol, "columns": sup,
-            "database": database, "table": table,
-            "num_partitions": num_partitions, "dispatcher": dispatcher,
-            "large_handle": large_handle,
-            "max_message_bytes": max_message_bytes,
-            "registry": registry_root}
-    if broker is not None:
-        new_ddl = ddl_msgs.filter(
-            pa.compute.greater_equal(ddl_msgs["offset"], ddls_sent))
-        for p in range(num_partitions):
-            sub = new_ddl.filter(
-                pa.compute.equal(new_ddl["mq_partition"], p))
-            if sub.num_rows:
-                _produce_partition(broker, f"{topic}.__ddl", p, sub)
-        # consumers read the LAST meta message, so appending per call is
-        # an idempotent refresh
-        _produce_partition(broker, f"{topic}.__meta", 0, pa.table({
-            "mq_partition": pa.array([0], pa.int32()),
-            "offset": pa.array([0], pa.int64()),
-            "key": pa.array(["__meta__"]),
-            "payload": pa.array([json.dumps(meta)], pa.string())}))
-    else:
-        os.makedirs(os.path.join(out_dir, "_ddl"), exist_ok=True)
-        pq.write_table(ddl_msgs, os.path.join(out_dir, "_ddl",
-                                              "messages.parquet"))
-        with open(os.path.join(out_dir, "meta.json"), "w") as f:
-            json.dump(meta, f)
+    _publish_control(out_dir, broker, topic, ddl_msgs, {
+        "protocol": protocol, "columns": sup,
+        "database": database, "table": table,
+        "num_partitions": num_partitions, "dispatcher": dispatcher,
+        "large_handle": large_handle,
+        "max_message_bytes": max_message_bytes,
+        "registry": registry_root}, ddls_sent)
 
     # resolved-ts broadcast (TIDB_WATERMARK, canal-json control envelope
     # under every protocol like the DDL stream): EVERY partition — data
@@ -215,29 +194,18 @@ def produce_mq(wal_dir: str, out_dir: str, num_partitions: int,
         if broker is not None:
             _produce_partition(broker, topic, p, row)
         else:
-            _file_emit(out_dir, p, row, append=True,
-                       base_floor=next_offsets.get(str(p), 0))
+            # the producer owns the offset counter (a broker's log-end
+            # offset), so retention can trim the files without offsets
+            # ever regressing; the watermark is each partition's last write
+            next_offsets[str(p)] = _file_emit(
+                out_dir, p, row, append=True,
+                base_floor=next_offsets.get(str(p), 0))
 
     if streaming:
-        if broker is None:
-            # the producer owns the offset counter (a broker's log-end
-            # offset) — re-read each partition's tail so retention can
-            # trim the files without offsets ever regressing
-            for p in range(num_partitions):
-                path = os.path.join(out_dir, f"partition={p}",
-                                    "messages.parquet")
-                if os.path.exists(path):
-                    t = pq.read_table(path, columns=["offset"])
-                    if t.num_rows:
-                        next_offsets[str(p)] = int(
-                            pa.compute.max(t["offset"]).as_py()) + 1
-        tmp = f"{producer_state}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump({"segments": sorted(produced
-                                          | {s.path for s in todo}),
-                       "ddls": k_ddl, "watermark_ts": stream_wm,
-                       "offsets": next_offsets}, f)
-        os.replace(tmp, producer_state)
+        _write_json(producer_state, {
+            "segments": sorted(produced | {s.path for s in todo}),
+            "ddls": k_ddl, "watermark_ts": stream_wm,
+            "offsets": next_offsets})
     return {"partitions": len(counts),
             "messages": int(sum(r["messages"] for r in counts))
             + num_partitions,
@@ -247,7 +215,7 @@ def produce_mq(wal_dir: str, out_dir: str, num_partitions: int,
 
 
 def _file_emit(out_dir: str, part: int, msgs: pa.Table,
-               append: bool, base_floor: int = 0) -> None:
+               append: bool, base_floor: int = 0) -> int:
     """Write one partition's message rows to the file layout. `append`
     shifts offsets past the existing stream (dense per partition — the
     per-key ordering contract) and concatenates; otherwise the file is
@@ -255,18 +223,14 @@ def _file_emit(out_dir: str, part: int, msgs: pa.Table,
     next-offset for this partition: retention (gc_spool) may have
     trimmed — or emptied — the file, and offsets must never regress
     below what consumers committed (the producer, not the file, owns
-    the counter, like a broker's log-end offset)."""
+    the counter, like a broker's log-end offset). → the partition's next
+    offset."""
     d = os.path.join(out_dir, f"partition={part}")
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, "messages.parquet")
     if append:
-        prior = None
-        base = base_floor
-        if os.path.exists(path):
-            prior = pq.read_table(path)
-            if prior.num_rows:
-                base = max(base, int(pa.compute.max(
-                    prior["offset"]).as_py()) + 1)
+        prior, base = _read_log(path)
+        base = max(base, base_floor)
         if base:
             idx = msgs.schema.get_field_index("offset")
             shifted = pa.compute.add(msgs["offset"], base)
@@ -275,9 +239,47 @@ def _file_emit(out_dir: str, part: int, msgs: pa.Table,
         if prior is not None:
             msgs = pa.concat_tables([prior, msgs],
                                     promote_options="default")
+    _write_log(path, msgs)
+    return int(pa.compute.max(msgs["offset"]).as_py()) + 1
+
+
+def _read_log(path: str) -> tuple[pa.Table | None, int]:
+    """A message-log file (None if absent) and the offset past its last
+    message — the max OFFSET, not the row count: gc_spool may have
+    trimmed consumed rows."""
+    if not os.path.exists(path):
+        return None, 0
+    prior = pq.read_table(path)
+    return prior, int(pa.compute.max(prior["offset"]).as_py()) + 1 \
+        if prior.num_rows else 0
+
+
+def _write_log(path: str, t: pa.Table) -> None:
+    """Replace one parquet log file atomically. The tmp name is unique per
+    thread: coordinated consumer-group members run as threads of one
+    process and spool the same DDL broadcast."""
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    pq.write_table(msgs, tmp, row_group_size=32768)
+    pq.write_table(t, tmp, row_group_size=32768)
     os.replace(tmp, path)
+
+
+def _write_json(path: str, obj) -> None:
+    """Replace one JSON document (descriptor, checkpoint, segment meta)
+    atomically."""
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    with open(tmp, "w") as f:
+        json.dump(obj, f)
+    os.replace(tmp, path)
+
+
+def _max_watermark(payloads: list) -> int:
+    """The largest ts among in-band TIDB_WATERMARK messages (canal-json
+    control envelopes under every protocol), 0 if there are none."""
+    from ..sources.codecs import decode_canal_watermark
+
+    return max((decode_canal_watermark(
+        pl.decode() if isinstance(pl, (bytes, bytearray)) else pl)
+        for pl in payloads), default=0)
 
 
 def _produce_partition(broker: str, topic: str, part: int,
@@ -297,15 +299,48 @@ def _produce_partition(broker: str, topic: str, part: int,
             c.produce(topic, part, recs[i:i + chunk])
 
 
+def _json_message(obj) -> pa.Table:
+    """A descriptor/index document as one message on partition 0."""
+    return pa.table({"mq_partition": pa.array([0], pa.int32()),
+                     "offset": pa.array([0], pa.int64()),
+                     "key": pa.array(["__meta__"]),
+                     "payload": pa.array([json.dumps(obj)], pa.string())})
+
+
+def _publish_control(out_dir: str, broker: str | None, topic: str,
+                     ddl_msgs: pa.Table, meta: dict,
+                     ddls_sent: int = 0) -> None:
+    """A topic's control streams: the DDL broadcast (`ddl_msgs`, every
+    partition's copy) and the stream descriptor `meta`. The file layout
+    always holds the full schedule. Over the broker only the not-yet-sent
+    DDL tail goes out (re-broadcasting would duplicate barrier messages),
+    and the descriptor is appended to `{topic}.__meta` — consumers read the
+    LAST one, so appending per call is an idempotent refresh."""
+    if broker is None:
+        os.makedirs(os.path.join(out_dir, "_ddl"), exist_ok=True)
+        pq.write_table(ddl_msgs, os.path.join(out_dir, "_ddl",
+                                              "messages.parquet"))
+        _write_json(os.path.join(out_dir, "meta.json"), meta)
+        return
+    new_ddl = ddl_msgs.filter(
+        pa.compute.greater_equal(ddl_msgs["offset"], ddls_sent))
+    for p in range(meta["num_partitions"]):
+        sub = new_ddl.filter(pa.compute.equal(new_ddl["mq_partition"], p))
+        if sub.num_rows:
+            _produce_partition(broker, f"{topic}.__ddl", p, sub)
+    _produce_partition(broker, f"{topic}.__meta", 0, _json_message(meta))
+
+
 def fetch_mq(broker: str, topic: str, out_dir: str,
              group: tuple[int, int] | None = None,
              group_id: str | None = None) -> dict:
     """Spool a broker topic into the standard message-log layout
     (meta.json + partition={p}/messages.parquet + _ddl/) so `consume_mq`
     replays it unchanged — the kafka-consumer's fetch loop. Resumable:
-    each partition re-fetches only past its locally spooled offset count
-    and commits via tmp→rename. `group=(member, size)` fetches only
-    partitions with p % size == member (a STATIC split). `group_id`
+    each partition, and the DDL broadcast, re-fetches only past its last
+    locally spooled offset and commits via tmp→rename.
+    `group=(member, size)` fetches only partitions with p % size ==
+    member (a STATIC split). `group_id`
     instead coordinates through the broker's group protocol
     (JoinGroup/SyncGroup range assignor — the sarama consumer-group
     shape): the member fetches exactly its assigned partitions, commits
@@ -319,23 +354,19 @@ def fetch_mq(broker: str, topic: str, out_dir: str,
     host, port = broker.rsplit(":", 1)
     os.makedirs(out_dir, exist_ok=True)
     with KafkaLiteClient(host, int(port)) as c:
-        meta_msgs = c.fetch_all(f"{topic}.__meta", 0)
-        assert meta_msgs, f"no {topic}.__meta on broker {broker}"
-        meta = json.loads(meta_msgs[-1][2].decode())
-        is_text = meta["protocol"] != "avro"
+        def descriptor() -> dict:
+            meta_msgs = c.fetch_all(f"{topic}.__meta", 0)
+            assert meta_msgs, f"no {topic}.__meta on broker {broker}"
+            return json.loads(meta_msgs[-1][2].decode())
 
-        def spool(t: str, part: int, d: str) -> int:
+        is_text = descriptor()["protocol"] != "avro"
+
+        def spool(t: str, part: int, d: str, text: bool = is_text,
+                  on_broker: bool = True) -> int:
             os.makedirs(d, exist_ok=True)
             path = os.path.join(d, "messages.parquet")
-            prior, start = None, 0
-            if os.path.exists(path):
-                prior = pq.read_table(path)
-                if prior.num_rows:
-                    # resume from the last spooled OFFSET, not the row
-                    # count — gc_spool may have trimmed consumed rows
-                    start = int(pa.compute.max(
-                        prior["offset"]).as_py()) + 1
-            recs = c.fetch_all(t, part, start)
+            prior, start = _read_log(path)
+            recs = c.fetch_all(t, part, start) if on_broker else []
             if not recs and prior is not None:
                 return 0
             tbl = pa.table({
@@ -344,18 +375,17 @@ def fetch_mq(broker: str, topic: str, out_dir: str,
                 "key": pa.array([None if k is None else k.decode()
                                  for _o, k, _v in recs], pa.string()),
                 "payload": pa.array(
-                    [v.decode() if is_text else v for _o, _k, v in recs],
-                    pa.string() if is_text else pa.binary()),
+                    [v.decode() if text else v for _o, _k, v in recs],
+                    pa.string() if text else pa.binary()),
             })
             if prior is not None:
                 tbl = pa.concat_tables([prior, tbl])
-            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            pq.write_table(tbl, tmp, row_group_size=32768)
-            os.replace(tmp, path)
+            _write_log(path, tbl)
             return len(recs)
 
+        # the descriptor is published after the data, so a topic without
+        # partitions carried no rows (a multi-table feed's idle table)
         parts = c.metadata([topic]).get(topic, [])
-        assert parts, f"topic {topic!r} not on broker {broker}"
         member = None
         if group_id is not None:
             generation, member, assigned = \
@@ -373,29 +403,12 @@ def fetch_mq(broker: str, topic: str, out_dir: str,
                 c.offset_commit(group_id, topic, hw)
             c.leave_group(group_id, member)
         # the DDL broadcast is identical per partition: spool partition
-        # `member` (or 0) of __ddl — every member sees the full schedule
+        # `member` (or 0) of __ddl — every member sees the full schedule.
+        # A table without DDLs has no __ddl topic: its spool is empty.
         ddl_parts = c.metadata([f"{topic}.__ddl"]).get(f"{topic}.__ddl", [])
         dp = group[0] % len(ddl_parts) if (group and ddl_parts) else 0
-        ddl_recs = c.fetch_all(f"{topic}.__ddl", dp) if ddl_parts else []
-        ddl_dir = os.path.join(out_dir, "_ddl")
-        os.makedirs(ddl_dir, exist_ok=True)
-        ddl_tbl = pa.table({
-            "mq_partition": pa.array([0] * len(ddl_recs), pa.int32()),
-            "offset": pa.array([o for o, _k, _v in ddl_recs], pa.int64()),
-            "key": pa.array([k.decode() if k else None
-                             for _o, k, _v in ddl_recs], pa.string()),
-            "payload": pa.array([v.decode() for _o, _k, v in ddl_recs],
-                                pa.string()),
-        })
-        # tmp name must be unique per CALL, not per process: coordinated
-        # group members run as threads of one consumer process and each
-        # spools the (identical) DDL broadcast — a pid-only suffix lets
-        # one thread's os.replace consume the other's tmp file
-        tmp = os.path.join(
-            ddl_dir, f"messages.parquet.tmp.{os.getpid()}."
-                     f"{threading.get_ident()}")
-        pq.write_table(ddl_tbl, tmp)
-        os.replace(tmp, os.path.join(ddl_dir, "messages.parquet"))
+        n_ddl = spool(f"{topic}.__ddl", dp, os.path.join(out_dir, "_ddl"),
+                      text=True, on_broker=bool(ddl_parts))
         # the stream descriptor is spooled LAST, re-fetched fresh: a
         # producer may have refreshed it (new columns after a DDL)
         # between our first read and the partition fetches — data rows
@@ -403,23 +416,16 @@ def fetch_mq(broker: str, topic: str, out_dir: str,
         # producer sent before their watermark (the live-race the
         # streaming tests caught: lang decoded under a pre-DDL column
         # list came back silently NULL)
-        meta_msgs = c.fetch_all(f"{topic}.__meta", 0)
-        meta = json.loads(meta_msgs[-1][2].decode())
-        mtmp = os.path.join(out_dir, f"meta.json.tmp.{os.getpid()}."
-                                     f"{threading.get_ident()}")
-        with open(mtmp, "w") as f:
-            json.dump(meta, f)
-        os.replace(mtmp, os.path.join(out_dir, "meta.json"))
+        _write_json(os.path.join(out_dir, "meta.json"), descriptor())
     return {"partitions": fetched,
             "messages": int(sum(fetched.values())),
-            "ddl_messages": len(ddl_recs)}
+            "ddl_messages": n_ddl}
 
 
-def _make_decoders(msg_dir: str, meta: dict, upstream_wal: str | None):
-    """(resolve_payloads, decode_msgs) for one message stream: undo the
-    producer's large-message option, then protocol-decode. Shared by the
-    batch consumer (consume_mq) and the streaming consumer
-    (consume_mq_stream)."""
+def _make_decoder(msg_dir: str, meta: dict, upstream_wal: str | None):
+    """payloads → events for one message stream: undo the producer's
+    large-message option, then protocol-decode. Shared by the batch
+    consumer (consume_mq) and the streaming consumer (consume_mq_stream)."""
     from ..sources.codecs import decode_canal_lines, decode_open_protocol_lines
 
     protocol = meta["protocol"]
@@ -519,7 +525,159 @@ def _make_decoders(msg_dir: str, meta: dict, upstream_wal: str | None):
     else:
         raise ValueError(f"unknown MQ protocol {protocol}")
 
-    return resolve_payloads, decode_msgs
+    return lambda payloads: decode_msgs(resolve_payloads(payloads))
+
+
+def _partitions(msg_dir: str) -> list[int]:
+    """The partition ids present in one topic's message-log dir."""
+    return sorted(int(d.split("=", 1)[1]) for d in os.listdir(msg_dir)
+                  if d.startswith("partition="))
+
+
+def _topic_registry(msg_dir: str):
+    """One topic's schema registry, rebuilt from one partition's copy of
+    its DDL broadcast (a spool holds the copy its member fetched)."""
+    from ..sources.codecs import decode_canal_ddl_lines
+
+    ddl_msgs = pq.read_table(os.path.join(msg_dir, "_ddl",
+                                          "messages.parquet"))
+    p0 = ddl_msgs.filter(pa.compute.equal(
+        ddl_msgs["mq_partition"], pa.compute.min(ddl_msgs["mq_partition"])))
+    return decode_canal_ddl_lines(
+        p0.sort_by("offset")["payload"].to_pylist())
+
+
+def _write_segment(ev: pa.Table, dst: str) -> dict:
+    """Decoded events → one derived-WAL segment file, sorted by
+    (commit_ts, start_ts) and written atomically → its meta fields."""
+    ev = ev.take(pa.compute.sort_indices(
+        ev, sort_keys=[("commit_ts", "ascending"),
+                       ("start_ts", "ascending")]))
+    _write_log(dst, ev)
+    cts = ev["commit_ts"].to_numpy(zero_copy_only=False)
+    return {"rows": ev.num_rows,
+            "min_ts": int(cts.min()) if len(cts) else 0,
+            "max_ts": int(cts.max()) if len(cts) else 0,
+            "cols": ev.column_names}
+
+
+def _write_segment_meta(wal_dir: str, seq: int, watermark_ts: int,
+                        r: dict) -> None:
+    """A derived-WAL segment's meta — its publish step, written after the
+    data file (a crash before it just re-decodes)."""
+    _write_json(os.path.join(wal_dir, f"seq={seq:05d}.meta.json"), {
+        "seq": seq, "watermark_ts": int(watermark_ts),
+        "min_ts": int(r["min_ts"]), "max_ts": int(r["max_ts"]),
+        "rows": int(r["rows"]), "format": "parquet",
+        **({"offset": int(r["offset"])} if "offset" in r else {}),
+        "columns": list(r["cols"])})
+
+
+def _partition_events(msg_dir: str, p: int, decode, start: int = 0):
+    """Partition `p`'s messages from offset `start`, in offset order →
+    (decoded events, each event's offset, the largest in-band
+    TIDB_WATERMARK ts, the offset past the last message read). Watermark
+    rows are control messages, not events."""
+    msgs = pq.read_table(os.path.join(msg_dir, f"partition={p}",
+                                      "messages.parquet"),
+                         filters=[("offset", ">=", start)]).sort_by("offset")
+    is_wm = pa.compute.fill_null(
+        pa.compute.equal(msgs["key"], "__watermark__"), False)
+    evm = msgs.filter(pa.compute.invert(is_wm))
+    end = int(msgs["offset"][-1].as_py()) + 1 if msgs.num_rows else start
+    return (decode(evm["payload"].to_pylist()), evm["offset"].to_pylist(),
+            _max_watermark(msgs.filter(is_wm)["payload"].to_pylist()), end)
+
+
+def _decode_topic(msg_dir: str, wal_dir: str, meta: dict,
+                  upstream_wal: str | None = None,
+                  parts: list[int] | None = None,
+                  prior_stats: dict | None = None, seq_base: int = 0,
+                  table_name: str | None = None) -> list[dict]:
+    """Decode one topic: each partition (of `parts`, default all) becomes
+    derived-WAL segment `seq_base + p`, one task per partition. Idempotent:
+    a partition whose segment meta exists (or, for a consumer-group
+    member, whose segment this member already committed in
+    `prior_stats`) is not decoded again. In-band TIDB_WATERMARK rows are
+    control messages: their ts is recorded, they are not decoded.
+    `table_name` adds that column (a multi-table feed's demux key). →
+    one record per partition: part, seq, offset (next to consume), wm,
+    rows, min_ts, max_ts, cols."""
+    decode = _make_decoder(msg_dir, meta, upstream_wal)
+    prior_stats = prior_stats or {}
+
+    def decode_partition(tb: pa.Table) -> pa.Table:
+        out = []
+        for row in tb.to_pylist():
+            p = int(row["part"])
+            seq = seq_base + p
+            dst = os.path.join(wal_dir, f"seq={seq:05d}.parquet")
+            mpath = dst.replace(".parquet", ".meta.json")
+            # idempotent resume from the published meta, or from this
+            # member's committed stats (data files are atomic: present =
+            # complete)
+            st = prior_stats.get(p) if os.path.exists(dst) else None
+            if os.path.exists(mpath):
+                with open(mpath) as f:
+                    m = json.load(f)
+                st = {**m, "offset": m.get("offset", m["rows"]),
+                      "cols": m["columns"]}
+            if st is not None:
+                out.append({"part": p, "seq": seq, "wm": st.get("wm", 0),
+                            **{k: st[k] for k in ("rows", "min_ts", "max_ts",
+                                                  "offset", "cols")}})
+                continue
+            ev, _offs, wm, end = _partition_events(msg_dir, p, decode)
+            if table_name is not None:
+                ev = ev.append_column("table_name", pa.array(
+                    [table_name] * ev.num_rows, pa.string()))
+            out.append({"part": p, "seq": seq, "offset": end, "wm": wm,
+                        **_write_segment(ev, dst)})
+        return pa.Table.from_pylist(out)
+
+    items = [{"part": p} for p in _partitions(msg_dir)
+             if parts is None or p in parts]
+    if not items:
+        return []
+    return ray.data.from_items(items).map_batches(
+        decode_partition, batch_format="pyarrow",
+        batch_size=1).take_all()             # P rows — tiny
+
+
+def _stamp_metas(wal_dir: str, decoded: list[dict]) -> None:
+    """Publish a batch consume's derived-WAL segments (`decoded`): each
+    meta written after its data file, skipped where it already exists.
+
+    The segments' watermark: when every partition carried an in-band
+    TIDB_WATERMARK broadcast, that IS the resolved ts (same value on every
+    partition — broadcast, so nondecreasing across seqs holds trivially).
+    Spools without watermark messages fall back to the batch-consume
+    inference: the log is complete, so the honest watermark is the GLOBAL
+    event max — and a MIXED spool falls back entirely (a per-partition mix
+    could order a smaller inferred max after a larger broadcast ts,
+    violating the nondecreasing contract)."""
+    wms = [int(r.get("wm") or 0) for r in decoded]
+    global_max = max(wms) if wms and all(wms) else \
+        max((r["max_ts"] for r in decoded), default=0)
+    for r in decoded:
+        seq = int(r["seq"])
+        if not os.path.exists(os.path.join(wal_dir,
+                                           f"seq={seq:05d}.meta.json")):
+            _write_segment_meta(wal_dir, seq, global_max, r)
+
+
+def _replay_topic(wal_dir: str, lake_dir: str, num_partitions: int,
+                  registry, base_dir: str | None) -> rp.ReplayResult:
+    """Declare one table's schedule (ddl.json) beside its derived WAL and
+    replay it with the standard engine, bootstrapping from `base_dir`
+    first (`rp.bootstrap` returns an existing lake as it is)."""
+    with open(os.path.join(wal_dir, "ddl.json"), "w") as f:
+        f.write(registry.to_json())
+    cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=lake_dir,
+                       num_partitions=num_partitions)
+    if base_dir is not None:
+        rp.bootstrap(cfg, base_dir=base_dir)
+    return rp.run_replay(cfg)
 
 
 def consume_mq(msg_dir: str, lake_dir: str, base_dir: str | None = None,
@@ -545,110 +703,32 @@ def consume_mq(msg_dir: str, lake_dir: str, base_dir: str | None = None,
     completes coverage stamps the segment metas and replays — N members
     splitting the partitions converge to the identical lake a single
     consumer produces."""
-    from ..sources.codecs import decode_canal_ddl_lines
-
     with open(os.path.join(msg_dir, "meta.json")) as f:
         meta = json.load(f)
-    protocol = meta["protocol"]
-    sup = list(meta["columns"])
-    resolve_payloads, decode_msgs = _make_decoders(msg_dir, meta,
-                                                   upstream_wal)
-
-    # registry from the DDL broadcast stream (partition 0's copy)
-    ddl_msgs = pq.read_table(os.path.join(msg_dir, "_ddl",
-                                          "messages.parquet"))
-    p0 = ddl_msgs.filter(pa.compute.equal(ddl_msgs["mq_partition"], 0))
-    registry = decode_canal_ddl_lines(
-        p0.sort_by("offset")["payload"].to_pylist())
-
+    registry = _topic_registry(msg_dir)
     wal_dir = wal_out or os.path.join(lake_dir, "_mq_wal")
     os.makedirs(wal_dir, exist_ok=True)
 
-    part_dirs = sorted(
-        d for d in os.listdir(msg_dir) if d.startswith("partition="))
-    all_parts = sorted(int(d.split("=", 1)[1]) for d in part_dirs)
-
-    # per-member checkpoint: committed offsets + decode stats per owned
-    # partition (kafka consumer-group offset commit analog)
-    cons_dir = os.path.join(wal_dir, "_consumer")
-    member_ckpt, prior_stats = None, {}
-    if group is not None:
+    if group is None:
+        decoded = _decode_topic(msg_dir, wal_dir, meta, upstream_wal)
+    else:
+        # per-member checkpoint: committed offsets + decode stats per
+        # owned partition (kafka consumer-group offset commit analog)
         member_id, group_size = group
         assert 0 <= member_id < group_size, group
+        all_parts = _partitions(msg_dir)
+        cons_dir = os.path.join(wal_dir, "_consumer")
         os.makedirs(cons_dir, exist_ok=True)
         member_ckpt = os.path.join(cons_dir, f"member-{member_id}.json")
+        prior_stats = {}
         if os.path.exists(member_ckpt):
             with open(member_ckpt) as f:
                 prior_stats = {int(k): v for k, v in
                                json.load(f)["partitions"].items()}
-
-    def decode_partition(tb: pa.Table) -> pa.Table:
-        out = []
-        for row in tb.to_pylist():
-            p = int(row["part"])
-            dst = os.path.join(wal_dir, f"seq={p:05d}.parquet")
-            mpath = dst.replace(".parquet", ".meta.json")
-            if os.path.exists(mpath):      # idempotent resume
-                with open(mpath) as f:
-                    m = json.load(f)
-                out.append({"part": p, "rows": m["rows"],
-                            "min_ts": m["min_ts"], "max_ts": m["max_ts"],
-                            "offset": m.get("offset", m["rows"]),
-                            "cols": list(m["columns"])})
-                continue
-            st = prior_stats.get(p)
-            if st is not None and os.path.exists(dst):
-                # this member already decoded p (data files are atomic:
-                # present = complete); reuse its committed stats
-                out.append({"part": p, "wm": st.get("wm", 0),
-                            **{k: st[k] for k in
-                               ("rows", "min_ts", "max_ts",
-                                "offset", "cols")}})
-                continue
-            msgs = pq.read_table(row["src"]).sort_by("offset")
-            # in-band resolved-ts messages (TIDB_WATERMARK broadcast by
-            # the producer) are control rows: read their ts, strip them
-            # from the event decode
-            from ..sources.codecs import decode_canal_watermark
-            wm = 0
-            payloads = []
-            for k_, pl in zip(msgs["key"].to_pylist(),
-                              msgs["payload"].to_pylist()):
-                if k_ == "__watermark__":
-                    txt = pl.decode() if isinstance(pl, (bytes, bytearray)) \
-                        else pl
-                    wm = max(wm, decode_canal_watermark(txt))
-                else:
-                    payloads.append(pl)
-            ev = decode_msgs(resolve_payloads(payloads))
-            ev = ev.take(pa.compute.sort_indices(
-                ev, sort_keys=[("commit_ts", "ascending"),
-                               ("start_ts", "ascending")]))
-            tmp = dst + f".tmp.{os.getpid()}"
-            pq.write_table(ev, tmp, row_group_size=32768)
-            os.replace(tmp, dst)
-            cts = ev["commit_ts"].to_numpy(zero_copy_only=False)
-            out.append({"part": p, "rows": ev.num_rows,
-                        "min_ts": int(cts.min()) if len(cts) else 0,
-                        "max_ts": int(cts.max()) if len(cts) else 0,
-                        "offset": msgs.num_rows,   # next-to-consume
-                        "wm": wm,
-                        "cols": ev.column_names})
-        return pa.Table.from_pylist(out)
-
-    items = [{"part": int(d.split("=", 1)[1]),
-              "src": os.path.join(msg_dir, d, "messages.parquet")}
-             for d in part_dirs]
-    if group is not None:
-        items = [it for it in items
-                 if it["part"] % group_size == member_id]
-    decoded = []
-    if items:
-        decoded = ray.data.from_items(items).map_batches(
-            decode_partition, batch_format="pyarrow",
-            batch_size=1).take_all()             # P rows — tiny
-
-    if group is not None:
+        decoded = _decode_topic(
+            msg_dir, wal_dir, meta, upstream_wal,
+            parts=[p for p in all_parts if p % group_size == member_id],
+            prior_stats=prior_stats)
         # commit this member's offsets (atomic; merge with prior runs)
         stats = dict(prior_stats)
         for r in decoded:
@@ -657,11 +737,9 @@ def consume_mq(msg_dir: str, lake_dir: str, base_dir: str | None = None,
                 "max_ts": int(r["max_ts"]), "offset": int(r["offset"]),
                 "wm": int(r.get("wm") or 0),
                 "cols": list(r["cols"])}
-        with open(member_ckpt + ".tmp", "w") as f:
-            json.dump({"member": member_id, "group_size": group_size,
-                       "partitions": {str(k): v
-                                      for k, v in stats.items()}}, f)
-        os.replace(member_ckpt + ".tmp", member_ckpt)
+        _write_json(member_ckpt, {
+            "member": member_id, "group_size": group_size,
+            "partitions": {str(k): v for k, v in stats.items()}})
         # coverage check across ALL members' checkpoints: replay only
         # runs once every topic partition has been consumed by someone
         union: dict[int, dict] = {}
@@ -676,42 +754,11 @@ def consume_mq(msg_dir: str, lake_dir: str, base_dir: str | None = None,
         if missing:
             return {"member": member_id, "consumed": sorted(stats),
                     "pending": missing}
-        decoded = [{"part": p, **union[p]} for p in all_parts]
+        decoded = [{"part": p, "seq": p, **union[p]} for p in all_parts]
 
-    # Watermark for the derived WAL's segment metas: when every partition
-    # carried an in-band TIDB_WATERMARK broadcast, that IS the resolved
-    # ts (same value on every partition — broadcast, so nondecreasing
-    # across seqs holds trivially). Older spools without watermark
-    # messages fall back to the batch-consume inference: the log is
-    # complete, so the honest watermark is the GLOBAL event max — and a
-    # MIXED spool falls back entirely (a per-partition mix could order a
-    # smaller inferred max after a larger broadcast ts, violating the
-    # nondecreasing contract).
-    wms = [int(r.get("wm") or 0) for r in decoded]
-    if wms and all(wms):
-        global_max = max(wms)
-    else:
-        global_max = max((r["max_ts"] for r in decoded), default=0)
-    for r in decoded:
-        mpath = os.path.join(wal_dir, f"seq={int(r['part']):05d}.meta.json")
-        if os.path.exists(mpath):
-            continue
-        seg_meta = {"seq": int(r["part"]), "watermark_ts": int(global_max),
-                    "min_ts": int(r["min_ts"]), "max_ts": int(r["max_ts"]),
-                    "rows": int(r["rows"]), "format": "parquet",
-                    "offset": int(r.get("offset", r["rows"])),
-                    "columns": list(r["cols"])}
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(seg_meta, f)
-        os.replace(mpath + ".tmp", mpath)
-    with open(os.path.join(wal_dir, "ddl.json"), "w") as f:
-        f.write(registry.to_json())
-
-    cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=lake_dir,
-                       num_partitions=num_partitions)
-    if base_dir is not None:
-        rp.bootstrap(cfg, base_dir=base_dir)
-    res = rp.run_replay(cfg)
+    _stamp_metas(wal_dir, decoded)
+    res = _replay_topic(wal_dir, lake_dir, num_partitions, registry,
+                        base_dir)
     return {"partitions_decoded": len(decoded),
             "epochs": len(res.epochs), "events": res.events,
             "wal_dir": wal_dir}
@@ -741,15 +788,10 @@ def consume_mq_stream(msg_dir: str, lake_dir: str,
     re-decodes the identical bytes. Returns {"pending": True} when a
     partition has not yet confirmed any resolved ts (frontier unknown —
     nothing may commit, exactly like a zero-segment shard)."""
-    from ..sources.codecs import decode_canal_ddl_lines, decode_canal_watermark
 
     with open(os.path.join(msg_dir, "meta.json")) as f:
         meta = json.load(f)
-    ddl_msgs = pq.read_table(os.path.join(msg_dir, "_ddl",
-                                          "messages.parquet"))
-    p0 = ddl_msgs.filter(pa.compute.equal(ddl_msgs["mq_partition"], 0))
-    registry = decode_canal_ddl_lines(
-        p0.sort_by("offset")["payload"].to_pylist())
+    registry = _topic_registry(msg_dir)
     # decode under the union of the descriptor's columns and every
     # column the DDL stream names: a barrier's column is decodable the
     # moment its DDL is known, independent of descriptor freshness (the
@@ -760,9 +802,7 @@ def consume_mq_stream(msg_dir: str, lake_dir: str,
         for f in registry.schema(v):
             if f.name not in sup:
                 sup.append(f.name)
-    meta = {**meta, "columns": sup}
-    resolve_payloads, decode_msgs = _make_decoders(msg_dir, meta,
-                                                   upstream_wal)
+    decode = _make_decoder(msg_dir, {**meta, "columns": sup}, upstream_wal)
 
     wal_dir = wal_out or os.path.join(lake_dir, "_mq_wal")
     os.makedirs(wal_dir, exist_ok=True)
@@ -774,9 +814,7 @@ def consume_mq_stream(msg_dir: str, lake_dir: str,
         with open(state_path) as f:
             state = json.load(f)
 
-    part_dirs = sorted(
-        d for d in os.listdir(msg_dir) if d.startswith("partition="))
-    all_parts = sorted(int(d.split("=", 1)[1]) for d in part_dirs)
+    all_parts = _partitions(msg_dir)
     assert all_parts, f"no partitions in {msg_dir}"
 
     # plan the frontier on the driver (control plane — watermark rows
@@ -796,10 +834,8 @@ def consume_mq_stream(msg_dir: str, lake_dir: str,
         wm_tbl = pq.read_table(path, columns=["offset", "key", "payload"],
                                filters=[("key", "=", "__watermark__"),
                                         ("offset", ">=", starts[p])])
-        wm = int(state["offsets"].get(f"wm{p}", 0))
-        for pl in wm_tbl["payload"].to_pylist():
-            txt = pl.decode() if isinstance(pl, (bytes, bytearray)) else pl
-            wm = max(wm, decode_canal_watermark(txt))
+        wm = max(int(state["offsets"].get(f"wm{p}", 0)),
+                 _max_watermark(wm_tbl["payload"].to_pylist()))
         if not wm:
             return {"pending": True, "partition": p,
                     "reason": "no resolved ts confirmed yet"}
@@ -820,38 +856,17 @@ def consume_mq_stream(msg_dir: str, lake_dir: str,
         out = []
         for row in tb.to_pylist():
             p = int(row["part"])
-            start = starts[p]
-            src = os.path.join(msg_dir, f"partition={p}",
-                               "messages.parquet")
-            msgs = pq.read_table(src, filters=[("offset", ">=", start)]) \
-                .sort_by("offset")
-            keys = msgs["key"].to_pylist()
-            offs = msgs["offset"].to_pylist()
-            ev_pos = [i for i, k_ in enumerate(keys)
-                      if k_ != "__watermark__"]
-            payloads = [msgs["payload"][i].as_py() for i in ev_pos]
-            ev = decode_msgs(resolve_payloads(payloads))
+            ev, offs, _wm, stop = _partition_events(msg_dir, p, decode,
+                                                    starts[p])
             cts = ev["commit_ts"].to_numpy(zero_copy_only=False)
             n_keep = int(np.searchsorted(cts, frontier, side="right"))
-            if n_keep < len(ev_pos):        # held-back tail starts here
-                stop = int(offs[ev_pos[n_keep]])
-            else:
-                stop = int(offs[-1]) + 1 if offs else start
-            ev = ev.slice(0, n_keep)
-            ev = ev.take(pa.compute.sort_indices(
-                ev, sort_keys=[("commit_ts", "ascending"),
-                               ("start_ts", "ascending")]))
-            rec = {"part": p, "rows": ev.num_rows, "stop": stop,
+            if n_keep < len(offs):          # held-back tail starts here
+                stop = int(offs[n_keep])
+            rec = {"part": p, "rows": 0, "stop": stop,
                    "cols": ev.column_names, "min_ts": 0, "max_ts": 0}
-            if ev.num_rows:
-                kept = ev["commit_ts"].to_numpy(zero_copy_only=False)
-                rec["min_ts"], rec["max_ts"] = int(kept.min()), \
-                    int(kept.max())
-                dst = os.path.join(wal_dir,
-                                   f"seq={rnd * P + p:05d}.parquet")
-                tmp = dst + f".tmp.{os.getpid()}"
-                pq.write_table(ev, tmp, row_group_size=32768)
-                os.replace(tmp, dst)
+            if n_keep:
+                dst = os.path.join(wal_dir, f"seq={rnd * P + p:05d}.parquet")
+                rec.update(_write_segment(ev.slice(0, n_keep), dst))
             out.append(rec)
         return pa.Table.from_pylist(out)
 
@@ -865,27 +880,12 @@ def consume_mq_stream(msg_dir: str, lake_dir: str,
                     "wal_dir": wal_dir}
         # resolved-ts-only advance: one empty heartbeat segment raises
         # the derived WAL's watermark (the resolved-event heartbeat)
-        dst = os.path.join(wal_dir, f"seq={rnd * P:05d}.parquet")
-        empty = decode_msgs(resolve_payloads([]))
-        tmp = dst + f".tmp.{os.getpid()}"
-        pq.write_table(empty, tmp)
-        os.replace(tmp, dst)
-        wrote = [{"part": 0, "rows": 0, "min_ts": 0,
-                  "max_ts": 0, "cols": empty.column_names}]
+        wrote = [{"part": 0, **_write_segment(decode([]), os.path.join(
+            wal_dir, f"seq={rnd * P:05d}.parquet"))}]
 
     # metas after data (a crash before this point just re-decodes)
     for r in wrote:
-        seq = rnd * P + int(r["part"])
-        mpath = os.path.join(wal_dir, f"seq={seq:05d}.meta.json")
-        seg_meta = {"seq": seq, "watermark_ts": int(frontier),
-                    "min_ts": int(r["min_ts"]), "max_ts": int(r["max_ts"]),
-                    "rows": int(r["rows"]), "format": "parquet",
-                    "columns": list(r["cols"])}
-        with open(mpath + ".tmp", "w") as f:
-            json.dump(seg_meta, f)
-        os.replace(mpath + ".tmp", mpath)
-    with open(os.path.join(wal_dir, "ddl.json"), "w") as f:
-        f.write(registry.to_json())
+        _write_segment_meta(wal_dir, rnd * P + int(r["part"]), frontier, r)
 
     # consumer checkpoint: per-partition consumed offsets + confirmed
     # resolved ts (the committed-offset analog), after the segments
@@ -894,18 +894,10 @@ def consume_mq_stream(msg_dir: str, lake_dir: str,
         offsets[str(int(r["part"]))] = int(r["stop"])
     for p, wm in confirmed.items():
         offsets[f"wm{p}"] = wm
-    new_state = {"round": rnd, "offsets": offsets, "wm": int(frontier)}
-    tmp = f"{state_path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(new_state, f)
-    os.replace(tmp, state_path)
-
-    cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=lake_dir,
-                       num_partitions=num_partitions)
-    from ..state.checkpoint import LakeState
-    if base_dir is not None and LakeState(lake_dir).latest() is None:
-        rp.bootstrap(cfg, base_dir=base_dir)
-    res = rp.run_replay(cfg)
+    _write_json(state_path, {"round": rnd, "offsets": offsets,
+                             "wm": int(frontier)})
+    res = _replay_topic(wal_dir, lake_dir, num_partitions, registry,
+                        base_dir)
     return {"rounds": 1, "watermark_ts": int(frontier),
             "events": res.events, "epochs": len(res.epochs),
             "wal_dir": wal_dir}
@@ -927,20 +919,13 @@ def gc_spool(msg_dir: str, wal_dir: str) -> dict:
     with open(state_path) as f:
         offsets = json.load(f)["offsets"]
     removed = {}
-    for d in sorted(os.listdir(msg_dir)):
-        if not d.startswith("partition="):
-            continue
-        p = int(d.split("=", 1)[1])
+    for p in _partitions(msg_dir):
         keep_from = int(offsets.get(str(p), 0))
-        path = os.path.join(msg_dir, d, "messages.parquet")
+        path = os.path.join(msg_dir, f"partition={p}", "messages.parquet")
         t = pq.read_table(path)
         kept = t.filter(pa.compute.greater_equal(t["offset"], keep_from))
-        if kept.num_rows == t.num_rows:
-            removed[p] = 0
-            continue
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-        pq.write_table(kept, tmp, row_group_size=32768)
-        os.replace(tmp, path)
+        if kept.num_rows < t.num_rows:
+            _write_log(path, kept)
         removed[p] = t.num_rows - kept.num_rows
     return {"rows_removed": int(sum(removed.values())),
             "partitions": removed}
@@ -1006,15 +991,14 @@ def produce_mq_multitable(wal_dir: str, out_dir: str,
     dispatch rules — default topic templates with {schema}/{table}
     substitution, cdc/sink/dmlsink/mq/dispatcher/event_router.go) and a
     key-hash partition; each (topic, partition) stream is encoded by one
-    task with dense offsets; every table's DDL schedule broadcasts on its
-    OWN topic's control stream. Layout: out_dir/topic=T/partition=p/ +
-    out_dir/topic=T/_ddl/ + meta.json — consume_mq_multitable replays it
-    into a multi-table lake. `broker="host:port"` sends every stream
-    over the Kafka wire instead (topics named by the template, DDLs on
-    {topic}.__ddl, the descriptor on __mt_meta) — fetch_mq_multitable
-    spools them back into this exact layout."""
+    task with dense offsets. Every topic is a complete canal-json
+    single-table stream — partitions, DDL broadcast and descriptor, as
+    `produce_mq` writes them — under out_dir/topic={topic}/, with
+    out_dir/meta.json as the table → topic index. `broker="host:port"`
+    sends every stream over the Kafka wire instead (the index on
+    `__mt_meta`) — fetch_mq_multitable spools them back into this exact
+    layout."""
     from ..sinks.mq import DispatchRule, EventRouter, MqSinkStage
-    from ..sources.codecs import encode_canal_ddl
     from ..sources.wal import list_segments
     from .multitable import load_multitable_registries
 
@@ -1026,6 +1010,19 @@ def produce_mq_multitable(wal_dir: str, out_dir: str,
     # to one partition via the table dispatcher)
     router = EventRouter([DispatchRule(("*.*",), "key", topic_template)],
                          default_topic=topic_template)
+    topics = {t: router.route(database, t)[0] for t in regs}
+    # each table's descriptor columns: its own schemas' columns (the
+    # shared WAL is a union of every table's)
+    metas = {t: {"protocol": "canal_json",
+                 "columns": ["op", "commit_ts", "start_ts", "doc_id",
+                             "new_doc_id", "pre_tokens"]
+                 + sorted({f.name for v in range(1, reg.max_ver + 1)
+                           for f in reg.schema(v)} - {"doc_id"})
+                 + ["schema_ver"],
+                 "database": database, "table": t,
+                 "num_partitions": num_partitions, "dispatcher": "key",
+                 "large_handle": "none", "max_message_bytes": None,
+                 "registry": None} for t, reg in regs.items()}
 
     def route(t: pa.Table) -> pa.Table:
         t = t.append_column("schema_name",
@@ -1038,27 +1035,15 @@ def produce_mq_multitable(wal_dir: str, out_dir: str,
         topic = str(t["mq_topic"][0].as_py())
         t_name = str(t["table_name"][0].as_py())
         part = int(t["mq_partition"][0].as_py())
-        ev = t.drop_columns(["mq_topic", "table_name"])
-        # the table's own column set: drop all-null union columns that
-        # belong to OTHER tables' schemas (the shared WAL is a union)
-        own = {f.name for v in range(1, regs[t_name].max_ver + 1)
-               for f in regs[t_name].schema(v)}
-        keep = [c for c in ev.column_names
-                if c in ("op", "commit_ts", "start_ts", "doc_id",
-                         "new_doc_id", "pre_tokens", "schema_ver",
-                         "mq_partition") or c in own]
-        sink = MqSinkStage(database=database, table=t_name,
-                           protocol="canal_json")
-        msgs = sink(ev.select(keep))
+        # drop the all-null union columns of OTHER tables' schemas
+        cols = set(metas[t_name]["columns"]) | {"mq_partition"}
+        ev = t.select([c for c in t.column_names if c in cols])
+        msgs = MqSinkStage(database=database, table=t_name)(ev)
         if broker is not None:
             _produce_partition(broker, topic, part, msgs)
         else:
-            d = os.path.join(out_dir, f"topic={topic}",
-                             f"partition={part}")
-            os.makedirs(d, exist_ok=True)
-            tmp = os.path.join(d, f"messages.parquet.tmp.{os.getpid()}")
-            pq.write_table(msgs, tmp, row_group_size=32768)
-            os.replace(tmp, os.path.join(d, "messages.parquet"))
+            _file_emit(os.path.join(out_dir, f"topic={topic}"), part, msgs,
+                       append=False)
         return pa.table({"topic": pa.array([topic]),
                          "messages": pa.array([msgs.num_rows],
                                               pa.int64())})
@@ -1069,41 +1054,16 @@ def produce_mq_multitable(wal_dir: str, out_dir: str,
               .map_groups(emit_group, batch_format="pyarrow")
               .take_all())
 
-    meta_tables = {}
     for t_name, reg in regs.items():
-        topic = router.route(database, t_name)[0]
-        lines = encode_canal_ddl(reg, database, t_name).splitlines()
-        ddl_tbl = pa.table({
-            "mq_partition": pa.array([0] * len(lines), pa.int32()),
-            "offset": pa.array(np.arange(len(lines), dtype=np.int64)),
-            "key": pa.array(["__ddl__"] * len(lines)),
-            "payload": pa.array(lines, pa.string()),
-        })
-        if broker is not None:
-            _produce_partition(broker, f"{topic}.__ddl", 0, ddl_tbl)
-        else:
-            ddl_dir = os.path.join(out_dir, f"topic={topic}", "_ddl")
-            os.makedirs(ddl_dir, exist_ok=True)
-            pq.write_table(ddl_tbl,
-                           os.path.join(ddl_dir, "messages.parquet"))
-        cols = sorted({f.name for v in range(1, reg.max_ver + 1)
-                       for f in reg.schema(v)} - {"doc_id"})
-        meta_tables[t_name] = {
-            "topic": topic,
-            "columns": ["op", "commit_ts", "start_ts", "doc_id",
-                        "new_doc_id", "pre_tokens"] + cols
-                       + ["schema_ver"]}
-    meta = {"protocol": "canal_json", "database": database,
-            "num_partitions": num_partitions, "tables": meta_tables}
+        _publish_control(
+            os.path.join(out_dir, f"topic={topics[t_name]}"), broker,
+            topics[t_name], MqSinkStage(database=database, table=t_name)
+            .ddl_stream(reg, num_partitions), metas[t_name])
     if broker is not None:
-        _produce_partition(broker, "__mt_meta", 0, pa.table({
-            "mq_partition": pa.array([0], pa.int32()),
-            "offset": pa.array([0], pa.int64()),
-            "key": pa.array(["__meta__"]),
-            "payload": pa.array([json.dumps(meta)], pa.string())}))
+        _produce_partition(broker, "__mt_meta", 0,
+                           _json_message({"tables": topics}))
     else:
-        with open(os.path.join(out_dir, "meta.json"), "w") as f:
-            json.dump(meta, f)
+        _write_json(os.path.join(out_dir, "meta.json"), {"tables": topics})
     return {"groups": len(counts),
             "messages": int(sum(r["messages"] for r in counts)),
             "tables": sorted(regs)}
@@ -1113,92 +1073,30 @@ def consume_mq_multitable(msg_dir: str, lake_dir: str,
                           base_dirs: dict[str, str] | None = None,
                           num_partitions: int = 16) -> dict:
     """Per-table topics → ONE derived multi-table WAL → the standard
-    multi-table replay. Each (topic, partition) decodes in its own task
-    under ITS table's column set (from the stream meta), the table's DDL
-    stream rebuilds its registry, and the union becomes tables.json +
-    table_name-carrying segments for run_replay_multitable — the
-    kafka-consumer loop generalized to N tables."""
-    from ..config import ReplayConfig
-    from ..sources.codecs import decode_canal_ddl_lines, decode_canal_lines
+    multi-table replay: each table's topic decodes like `consume_mq`'s
+    (its partitions become segments `i * P + p` for the i-th table in
+    name order, carrying `table_name`), its DDL stream rebuilds its
+    registry, and tables.json declares them for run_replay_multitable —
+    the kafka-consumer loop generalized to N tables."""
     from ..state.checkpoint import LakeState
     from . import multitable as mtp
 
     with open(os.path.join(msg_dir, "meta.json")) as f:
-        meta = json.load(f)
-    tables = meta["tables"]
+        topics = json.load(f)["tables"]
     wal_dir = os.path.join(lake_dir, "_mq_wal")
     os.makedirs(wal_dir, exist_ok=True)
-
-    items = []
-    for i, (t_name, tm) in enumerate(sorted(tables.items())):
-        tdir = os.path.join(msg_dir, f"topic={tm['topic']}")
-        for d in sorted(os.listdir(tdir)):
-            if d.startswith("partition="):
-                items.append({"table": t_name, "tindex": i,
-                              "cols": json.dumps(tm["columns"]),
-                              "part": int(d.split("=", 1)[1]),
-                              "src": os.path.join(tdir, d,
-                                                  "messages.parquet")})
-    P = meta["num_partitions"]
-
-    def decode_group(tb: pa.Table) -> pa.Table:
-        out = []
-        for row in tb.to_pylist():
-            seq = int(row["tindex"]) * P + int(row["part"])
-            dst = os.path.join(wal_dir, f"seq={seq:05d}.parquet")
-            mpath = dst.replace(".parquet", ".meta.json")
-            if os.path.exists(mpath):          # idempotent resume
-                with open(mpath) as f:
-                    m = json.load(f)
-                out.append({"seq": seq, "rows": m["rows"],
-                            "min_ts": m["min_ts"], "max_ts": m["max_ts"],
-                            "cols": list(m["columns"])})
-                continue
-            msgs = pq.read_table(row["src"]).sort_by("offset")
-            ev = decode_canal_lines(msgs["payload"].to_pylist(),
-                                    json.loads(row["cols"]))
-            ev = ev.append_column(
-                "table_name", pa.array([row["table"]] * ev.num_rows))
-            ev = ev.take(pa.compute.sort_indices(
-                ev, sort_keys=[("commit_ts", "ascending"),
-                               ("start_ts", "ascending")]))
-            tmp = dst + f".tmp.{os.getpid()}"
-            pq.write_table(ev, tmp, row_group_size=32768)
-            os.replace(tmp, dst)
-            cts = ev["commit_ts"].to_numpy(zero_copy_only=False)
-            out.append({"seq": seq, "rows": ev.num_rows,
-                        "min_ts": int(cts.min()) if len(cts) else 0,
-                        "max_ts": int(cts.max()) if len(cts) else 0,
-                        "cols": ev.column_names})
-        return pa.Table.from_pylist(out)
-
-    decoded = ray.data.from_items(items).map_batches(
-        decode_group, batch_format="pyarrow", batch_size=1).take_all()
-
-    # batch consume of a complete log: the honest watermark is the
-    # global max (same contract as consume_mq); metas after data
-    global_max = max((r["max_ts"] for r in decoded), default=0)
-    for r in decoded:
-        mpath = os.path.join(wal_dir, f"seq={int(r['seq']):05d}.meta.json")
-        if os.path.exists(mpath):
-            continue
-        with open(mpath + ".tmp", "w") as f:
-            json.dump({"seq": int(r["seq"]),
-                       "watermark_ts": int(global_max),
-                       "min_ts": int(r["min_ts"]),
-                       "max_ts": int(r["max_ts"]),
-                       "rows": int(r["rows"]), "format": "parquet",
-                       "columns": list(r["cols"])}, f)
-        os.replace(mpath + ".tmp", mpath)
-
-    regs = {}
-    for t_name, tm in tables.items():
-        ddl_tbl = pq.read_table(os.path.join(
-            msg_dir, f"topic={tm['topic']}", "_ddl", "messages.parquet"))
-        regs[t_name] = decode_canal_ddl_lines(
-            ddl_tbl.sort_by("offset")["payload"].to_pylist())
+    order = sorted(topics)
+    decoded, regs = [], {}
+    for t_name, topic in topics.items():
+        tdir = os.path.join(msg_dir, f"topic={topic}")
+        with open(os.path.join(tdir, "meta.json")) as f:
+            meta = json.load(f)
+        regs[t_name] = _topic_registry(tdir)
+        decoded += _decode_topic(
+            tdir, wal_dir, meta, table_name=t_name,
+            seq_base=order.index(t_name) * meta["num_partitions"])
+    _stamp_metas(wal_dir, decoded)
     mtp.write_multitable_registries(wal_dir, regs)
-
     cfg = ReplayConfig(wal_dir=wal_dir, lake_dir=lake_dir,
                        num_partitions=num_partitions)
     if base_dirs is not None and LakeState(lake_dir).latest() is None:
@@ -1209,69 +1107,18 @@ def consume_mq_multitable(msg_dir: str, lake_dir: str,
 
 
 def fetch_mq_multitable(broker: str, out_dir: str) -> dict:
-    """Spool a multi-table changefeed's topics back into the
-    produce_mq_multitable file layout: the descriptor from __mt_meta
-    names every table's topic; each topic's partitions and its __ddl
-    control stream spool like fetch_mq (offset-resumable, atomic)."""
+    """Spool a multi-table changefeed back into the produce_mq_multitable
+    file layout: `fetch_mq` once per topic the `__mt_meta` index names,
+    then the index itself."""
     from ..sinks.kafka_wire import KafkaLiteClient
 
     host, port = broker.rsplit(":", 1)
-    os.makedirs(out_dir, exist_ok=True)
     with KafkaLiteClient(host, int(port)) as c:
-        meta_msgs = c.fetch_all("__mt_meta", 0)
-        assert meta_msgs, f"no __mt_meta on broker {broker}"
-        meta = json.loads(meta_msgs[-1][2].decode())
-
-        def spool(topic: str, part: int, d: str) -> int:
-            os.makedirs(d, exist_ok=True)
-            path = os.path.join(d, "messages.parquet")
-            prior, start = None, 0
-            if os.path.exists(path):
-                prior = pq.read_table(path)
-                if prior.num_rows:
-                    start = int(pa.compute.max(
-                        prior["offset"]).as_py()) + 1
-            recs = c.fetch_all(topic, part, start)
-            if not recs and prior is not None:
-                return 0
-            tbl = pa.table({
-                "mq_partition": pa.array([part] * len(recs), pa.int32()),
-                "offset": pa.array([o for o, _k, _v in recs], pa.int64()),
-                "key": pa.array([None if k is None else k.decode()
-                                 for _o, k, _v in recs], pa.string()),
-                "payload": pa.array([v.decode() for _o, _k, v in recs],
-                                    pa.string()),
-            })
-            if prior is not None:
-                tbl = pa.concat_tables([prior, tbl])
-            tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-            pq.write_table(tbl, tmp, row_group_size=32768)
-            os.replace(tmp, path)
-            return len(recs)
-
-        fetched = 0
-        for t_name, tm in sorted(meta["tables"].items()):
-            topic = tm["topic"]
-            tdir = os.path.join(out_dir, f"topic={topic}")
-            for p in c.metadata([topic]).get(topic, []):
-                fetched += spool(topic, p,
-                                 os.path.join(tdir, f"partition={p}"))
-            if c.metadata([f"{topic}.__ddl"]).get(f"{topic}.__ddl"):
-                fetched += spool(f"{topic}.__ddl", 0,
-                                 os.path.join(tdir, "_ddl"))
-            else:
-                # a table with an empty DDL schedule never produced its
-                # control topic — spool an empty stream
-                d = os.path.join(tdir, "_ddl")
-                os.makedirs(d, exist_ok=True)
-                pq.write_table(pa.table({
-                    "mq_partition": pa.array([], pa.int32()),
-                    "offset": pa.array([], pa.int64()),
-                    "key": pa.array([], pa.string()),
-                    "payload": pa.array([], pa.string())}),
-                    os.path.join(d, "messages.parquet"))
-    mtmp = os.path.join(out_dir, f"meta.json.tmp.{os.getpid()}")
-    with open(mtmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(mtmp, os.path.join(out_dir, "meta.json"))
-    return {"messages": fetched, "tables": sorted(meta["tables"])}
+        index_msgs = c.fetch_all("__mt_meta", 0)
+    assert index_msgs, f"no __mt_meta on broker {broker}"
+    index = json.loads(index_msgs[-1][2].decode())
+    fetched = sum(fetch_mq(broker, topic, os.path.join(
+        out_dir, f"topic={topic}"))["messages"]
+        for topic in index["tables"].values())
+    _write_json(os.path.join(out_dir, "meta.json"), index)
+    return {"messages": fetched, "tables": sorted(index["tables"])}

@@ -29,7 +29,6 @@ registry_json = json dict {T: registry_json}.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 
@@ -41,8 +40,8 @@ from ..sources.wal import list_segments, plan_epochs
 from ..stages.schema_evo import SchemaRegistry
 from ..state.checkpoint import LakeState, Manifest
 from .replay import (Changefeed, LakeLayout, ReplayResult, TableLifecycle,
-                     _drive_epochs, _plan_caps, check_copartitioned,
-                     compact_chains, fold_table, shard_stream, tail_epochs)
+                     _drive_epochs, _plan_caps, base_parts, compact_chains,
+                     fold_table, shard_stream, tail_epochs)
 
 
 
@@ -120,10 +119,11 @@ def bootstrap_multitable(cfg: ReplayConfig,
                          lifecycle: dict[str, TableLifecycle] | None = None
                          ) -> Manifest:
     """Metadata-only bootstrap over per-table base layouts
-    (base_dirs[T]/part=p/*.parquet, hash(doc_id)%P co-partitioned). The
-    same sampled co-partition guard as the single-table bootstrap runs
-    per table. Tables with a future created_ts don't exist yet — they
-    join (empty) when replay crosses their creation barrier."""
+    (base_dirs[T]/part=p/*.parquet, hash(doc_id)%P co-partitioned): the
+    single-table bootstrap's part scan (`replay.base_parts`, with its
+    P-range and co-partition guards) runs per table. Tables with a future
+    created_ts don't exist yet — they join (empty) when replay crosses
+    their creation barrier."""
     lake = LakeState(cfg.lake_dir)
     assert lake.latest() is None, "lake already bootstrapped"
     parts: dict[str, dict] = {}
@@ -134,21 +134,10 @@ def bootstrap_multitable(cfg: ReplayConfig,
             assert not base_dirs.get(t_name), \
                 f"{t_name} is created mid-stream; it cannot have a base"
             continue
-        bdir = base_dirs.get(t_name)
         tstats[t_name] = {"watermark_ts": 0, "schema_ver": 1,
                           "last_touched_epoch": 0}
-        if not bdir:
-            continue
-        for p in range(cfg.num_partitions):
-            files = sorted(glob.glob(
-                os.path.join(bdir, f"part={p}", "*.parquet")))
-            if not files:
-                continue
-            assert len(files) == 1, files
-            rows = check_copartitioned(files[0], p, cfg)
-            parts[f"{t_name}/{p}"] = {
-                "path": files[0], "schema_ver": 1, "rows": rows,
-                "watermark_ts": 0, "bytes": 0, "deltas": []}
+        if base_dirs.get(t_name):
+            parts.update(base_parts(cfg, base_dirs[t_name], _MULTI, t_name))
     m = Manifest(epoch=0, watermark_ts=0, schema_ver=0,
                  num_partitions=cfg.num_partitions,
                  registry_json=json.dumps(

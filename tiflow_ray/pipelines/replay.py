@@ -13,7 +13,8 @@ steps, each a map or a group-by-keys step:
                                       + LWW combiner — hot-key pre-reduce —
                                       fused with the exchange key
                                       tid·P + hash(doc_id) % P)
-      [→ map add_salt → group (part, salt) presalt_reduce   when salting]
+      [→ group (part, salt) presalt_reduce    under auto_salt: detected
+                                      hot keys pre-reduce in sub-groups]
       → group part: merge_apply      (deltas only, base stays put; each
                                       (table, part) group runs its table's
                                       MergeApply: MoR appends winner deltas
@@ -83,6 +84,12 @@ from ..state.checkpoint import LakeState, Manifest
 
 _READ_PLAN_LOCK = threading.Lock()
 
+#: auto_salt's hot-key rule: a key holding more than this share of a map
+#: batch's events is hot, and its surviving rows spread over this many
+#: (part, salt) pre-reduce groups
+AUTO_SALT_SHARE = 0.25
+AUTO_SALT_FACTOR = 8
+
 #: per-epoch execution-stats strings (ReplayConfig.collect_stats): the plan
 #: driver's ray.data stats or the single-task driver's per-step seconds;
 #: cleared at each replay call that collects — diagnostics only, never
@@ -130,6 +137,34 @@ def check_copartitioned(path: str, part: int, cfg: ReplayConfig) -> int:
     return f.metadata.num_rows
 
 
+def base_parts(cfg: ReplayConfig, base_dir: str,
+               layout: LakeLayout | None = None, table: str = "") -> dict:
+    """A base layout's `part={p}` dirs as bootstrap manifest parts, keyed
+    by `layout.part_key(table, p)`: one co-partitioned file per part
+    (`check_copartitioned`). A part dir at or past P means the base was
+    laid out for a larger P, and is refused — its rows would otherwise be
+    dropped without a word (every part p < P of a P'-partitioned base, P
+    dividing P', still passes the co-partition check)."""
+    layout = layout or LakeLayout()
+    found = {}
+    for d in glob.glob(os.path.join(base_dir, "part=*")):
+        p = int(os.path.basename(d).split("=", 1)[1])
+        if not 0 <= p < cfg.num_partitions:
+            raise ValueError(f"base dir has {d} but P={cfg.num_partitions}")
+        found[p] = d
+    parts = {}
+    for p in sorted(found):
+        files = sorted(glob.glob(os.path.join(found[p], "*.parquet")))
+        if not files:
+            continue
+        assert len(files) == 1, f"expected one bootstrap file per part: {files}"
+        parts[layout.part_key(table, p)] = {
+            "path": files[0], "schema_ver": 1,
+            "rows": check_copartitioned(files[0], p, cfg),
+            "watermark_ts": 0, "bytes": 0, "deltas": []}
+    return parts
+
+
 def bootstrap(cfg: ReplayConfig, base_dir: str | None = None) -> Manifest:
     """Epoch 0: register the existing base lake files (hash-partitioned
     part={p} dirs) in the first manifest. No data movement — the initial
@@ -142,22 +177,7 @@ def bootstrap(cfg: ReplayConfig, base_dir: str | None = None) -> Manifest:
                 f"lake is laid out with P={existing.num_partitions}, "
                 f"config says P={cfg.num_partitions}")
         return existing
-    parts: dict[str, dict] = {}
-    if base_dir:
-        found = sorted(glob.glob(os.path.join(base_dir, "part=*")))
-        for d in found:
-            p = int(os.path.basename(d).split("=", 1)[1])
-            if not 0 <= p < cfg.num_partitions:
-                raise ValueError(f"base dir has {d} but P={cfg.num_partitions}")
-        for p in range(cfg.num_partitions):
-            files = sorted(glob.glob(os.path.join(base_dir, f"part={p}", "*.parquet")))
-            if not files:
-                continue
-            assert len(files) == 1, f"expected one bootstrap file per part: {files}"
-            rows = check_copartitioned(files[0], p, cfg)
-            parts[str(p)] = {"path": files[0], "schema_ver": 1,
-                             "rows": rows, "watermark_ts": 0,
-                             "bytes": 0, "deltas": []}
+    parts = base_parts(cfg, base_dir) if base_dir else {}
     from ..model import hash_fingerprint
     m = Manifest(epoch=0, watermark_ts=0, schema_ver=1,
                  num_partitions=cfg.num_partitions, parts=parts,
@@ -724,36 +744,18 @@ def _epoch_chain(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
     # combiner + exchange key in one fused pass (hash computed once);
     # under auto_salt the same pass also measures per-key batch shares and
     # salts ONLY detected-hot keys (splitter_write.go analog)
-    dynamic_salt = cfg.auto_salt and cfg.salt_shuffle <= 1 and cfg.precompact
-    hot_share = cfg.auto_salt_share if dynamic_salt else None
+    salt = cfg.auto_salt and cfg.precompact
     chain.append(Step("split_combine", lambda t: split_combine(
         t, table_ids, cfg.num_partitions, precompact=cfg.precompact,
-        hot_share=hot_share, salt_factor=cfg.auto_salt_factor,
-        collation=cfg.key_collation)))
-
-    if cfg.salt_shuffle > 1 or dynamic_salt:
+        hot_share=AUTO_SALT_SHARE if salt else None,
+        salt_factor=AUTO_SALT_FACTOR, collation=cfg.key_collation)))
+    if salt:
         # a (part, salt) pre-reduce collapses a hot key's sub-groups in
         # parallel before the final per-(table, part) merge
         from ..stages.compact import compact_partition
-        S = cfg.salt_shuffle
-
-        def add_salt(t: pa.Table) -> pa.Table:   # static: salt every row
-            salt = (t["start_ts"].to_numpy(zero_copy_only=False)
-                    % np.uint64(S)).astype(np.uint32)
-            return t.append_column("salt", pa.array(salt))
-
-        def presalt_reduce(t: pa.Table) -> pa.Table:
-            # carry detection evidence to the merge stats: rows arriving
-            # through a salted (hot-key) group are counted in the manifest
-            salted = bool(t.num_rows) and t["salt"][0].as_py() != 0
-            out = compact_partition(t.drop_columns(["salt"]),
-                                    collation=cfg.key_collation)
-            return out.append_column(
-                "from_salted", pa.array(np.full(out.num_rows, salted)))
-
-        if not dynamic_salt:
-            chain.append(Step("add_salt", add_salt))
-        chain.append(Step("presalt_reduce", presalt_reduce, ("part", "salt")))
+        chain.append(Step("presalt_reduce", lambda t: compact_partition(
+            t.drop_columns(["salt"]), collation=cfg.key_collation),
+            ("part", "salt")))
 
     prev_by_table: dict[str, dict] = {}
     for key, meta in prev_parts.items():
@@ -788,18 +790,14 @@ def _epoch_chain(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
 def _run_plan(ds: "ray.data.Dataset", chain: list[Step],
               cfg: ReplayConfig) -> "ray.data.Dataset":
     """The Ray Data driver: each map step a map_batches, each group step a
-    groupby(keys).map_groups (THE shuffle); merge_concurrency sizes the
-    last (merge) step."""
+    groupby(keys).map_groups (THE shuffle)."""
     for step in chain:
         if not step.keys:
             ds = ds.map_batches(step.fn, batch_format="pyarrow",
                                 batch_size=cfg.batch_size)
-            continue
-        kwargs = {}
-        if cfg.merge_concurrency and step is chain[-1]:
-            kwargs["concurrency"] = cfg.merge_concurrency
-        ds = ds.groupby(list(step.keys)).map_groups(
-            step.fn, batch_format="pyarrow", **kwargs)
+        else:
+            ds = ds.groupby(list(step.keys)).map_groups(
+                step.fn, batch_format="pyarrow")
     return ds
 
 
@@ -916,8 +914,6 @@ def _commit_epoch(lake: LakeState, feed: Changefeed, prev: Manifest,
                            if cfg.key_collation != "binary" else {}),
                         "events": ep.est_rows, "winners": n_winners,
                         "parts_touched": len(stats_rows),
-                        "salted_events": sum(r.get("salted_events", 0) or 0
-                                             for r in stats_rows),
                         **progress, "lo": ep.lo, "hi": ep.hi},
                  hash_fingerprint=prev.hash_fingerprint)
     lake.commit(m)  # THE commit point: epoch becomes durable exactly here

@@ -146,12 +146,6 @@ class MergeApply:
     def __call__(self, deltas: pa.Table) -> pa.Table:
         part = int(deltas["part"][0].as_py())
         deltas = deltas.drop_columns(["part"])
-        salted_events = 0
-        if "from_salted" in deltas.column_names:
-            # dynamic hot-key salting evidence (splitter_write.go analog):
-            # rows that arrived through a salted pre-reduce group
-            salted_events = int(pc.sum(deltas["from_salted"]).as_py() or 0)
-            deltas = deltas.drop_columns(["from_salted"])
         winners = compact_partition(deltas, collation=self.collation)
         prev = self.prev_parts.get(str(part), {})
         if self.online_validate and prev:
@@ -198,5 +192,4 @@ class MergeApply:
             "deletes": pa.array([winners.num_rows - ups.num_rows], pa.int64()),
             "schema_ver": pa.array([self.epoch_ver], pa.int32()),
             "watermark_ts": pa.array([self.watermark_ts], pa.int64()),
-            "salted_events": pa.array([salted_events], pa.int64()),
         })
