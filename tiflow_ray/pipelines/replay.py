@@ -13,21 +13,32 @@ steps, each a map or a group-by-keys step:
                                       + LWW combiner — hot-key pre-reduce —
                                       fused with the exchange key
                                       tid·P + hash(doc_id) % P)
-      [→ group (part, salt) presalt_reduce    under auto_salt: detected
-                                      hot keys pre-reduce in sub-groups]
+      [→ group (part, salt) presalt_reduce    plan, under auto_salt:
+                                      detected hot keys pre-reduce in
+                                      sub-groups]
       → group part: merge_apply      (deltas only, base stays put; each
                                       (table, part) group runs its table's
-                                      MergeApply: MoR appends winner deltas
-                                      / folds chains, CoW rewrites parts)
+                                      MergeApply: final LWW reduce, then
+                                      MoR appends winner deltas / folds
+                                      chains, CoW rewrites parts)
       → stats rows → driver commits manifest + checkpoint atomically
 
 Two drivers run the chain:
 
 - the Ray Data plan (`_run_plan`): maps become `map_batches`, group steps
-  `groupby(keys).map_groups` (THE shuffle), then `take_all`;
+  `groupby(keys).map_groups` (THE shuffle), then `take_all`. Several map
+  batches can feed one (table, part) group, so each group runs the final
+  reduce (compact_partition) and a doc_id sort;
 - a single Ray task (`_epoch_task`): a pyarrow read of the same file
-  groups, each map over the whole table, each group step a stable sort by
-  its keys and one call per group.
+  groups, then each step over the whole table. Its one batch is the whole
+  epoch, so its chain has no group step and differs in two:
+
+      → map split_combine            (the epoch's one exact LWW reduce,
+                                      keyed on (part, doc_id), rows sorted
+                                      by (part, doc_id); no salt)
+      → map merge_apply              (per table, MergeApply.apply_reduced:
+                                      each part only sliced, selected and
+                                      written — no second reduce or sort)
 
 The one rule between them: a parquet epoch of at most one map batch
 (`ep.est_rows <= cfg.batch_size`) takes the task — the plan would add no
@@ -74,7 +85,8 @@ import ray.data
 from ..config import ReplayConfig
 from ..model import collation_key, hash_partition
 from ..sources.wal import Epoch, list_segments, load_registry, plan_epochs
-from ..stages.compact import assign_partition, compact_batch
+from ..stages.compact import (assign_partition, compact_batch,
+                              compact_partition, reduce_sorted)
 from ..stages.merge import MergeApply, fold_part
 from ..stages.normalize import EVENT_KEY_COLS, Normalize
 from ..stages.update_split import split_updates
@@ -360,28 +372,11 @@ class RemountStage:
 class Step:
     """One Arrow→Arrow step of an epoch's chain: a map over the event
     stream (`keys` empty) or one `fn` call per group of rows that share
-    `keys`."""
+    `keys` (the plan driver's groupby; the single-task driver's chain is
+    all maps)."""
     name: str
     fn: Callable[[pa.Table], pa.Table]
     keys: tuple[str, ...] = ()
-
-    def run(self, t: pa.Table) -> pa.Table:
-        """The step over one in-memory table (the single-task driver): a
-        map applies `fn` to the whole table; a group step stable-sorts by
-        the keys and calls `fn` once per group."""
-        if not self.keys:
-            return self.fn(t)
-        if not t.num_rows:
-            return t                     # no groups, hence no output rows
-        t = t.take(pc.sort_indices(
-            t, sort_keys=[(k, "ascending") for k in self.keys]))
-        new = np.zeros(t.num_rows - 1, bool)
-        for k in self.keys:
-            v = t[k].to_numpy()
-            new |= v[1:] != v[:-1]
-        cuts = [0, *(np.flatnonzero(new) + 1).tolist(), t.num_rows]
-        return pa.concat_tables([self.fn(t.slice(a, b - a))
-                                 for a, b in zip(cuts, cuts[1:])])
 
 
 @dataclass
@@ -651,7 +646,8 @@ def _read_epoch(cfg: ReplayConfig, feed: Changefeed, ep: Epoch,
 def split_combine(t: pa.Table, table_ids: dict[str, int],
                   num_partitions: int, precompact: bool = True,
                   hot_share: float | None = None, salt_factor: int = 8,
-                  collation: str = "binary") -> pa.Table:
+                  collation: str = "binary",
+                  exact: bool = False) -> pa.Table:
     """Per-batch update-split + LWW combiner + exchange key, PER TABLE:
     doc_ids are table-scoped keys — the same id in two tables must never
     collapse — and the split's synthesized delete half must stay routed to
@@ -662,12 +658,21 @@ def split_combine(t: pa.Table, table_ids: dict[str, int],
     `hot_share` enables dynamic hot-key detection (splitter_write.go
     analog) per table — a hot key in one table must not serialize the
     other tables' groups. Detected-hot rows carry a nonzero `salt` for
-    the (part, salt) pre-reduce."""
+    the (part, salt) pre-reduce.
+
+    `exact` (the single-task driver, whose one batch is the whole epoch)
+    makes the combiner the epoch's final reduce: exactly one winner per
+    (part, doc_id), rows sorted by (part, doc_id) — tables come out in tid
+    order, so the whole batch is — and no salt."""
     def one(sub: pa.Table, tid: int) -> pa.Table:
         sub = split_updates(sub)             # also drops new_doc_id
-        sub = compact_batch(sub, num_partitions, hot_share=hot_share,
-                            salt_factor=salt_factor, collation=collation) \
-            if precompact else assign_partition(sub, num_partitions, collation)
+        if exact:
+            sub = reduce_sorted(sub, num_partitions, collation)
+        elif precompact:
+            sub = compact_batch(sub, num_partitions, hot_share=hot_share,
+                                salt_factor=salt_factor, collation=collation)
+        else:
+            sub = assign_partition(sub, num_partitions, collation)
         if not tid:
             return sub
         part = sub["part"].to_numpy(zero_copy_only=False) \
@@ -711,11 +716,12 @@ def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
         read_cols.append("table_name")
     if cfg.bdr_mode:
         read_cols.append("write_source")
+    # at most one map batch: the plan would add no map-side parallelism,
+    # only planning, scheduling and a shuffle
+    task = ep.fmt == "parquet" and ep.est_rows <= cfg.batch_size
     chain = _epoch_chain(cfg, feed, prev_parts, ep, epoch_no, allow_fold,
-                         vers, image_fields)
-    if ep.fmt == "parquet" and ep.est_rows <= cfg.batch_size:
-        # at most one map batch: the plan would add no map-side
-        # parallelism, only planning, scheduling and a shuffle
+                         vers, image_fields, task=task)
+    if task:
         rows, secs = ray.get(_epoch_task.remote(
             _parquet_read(cfg, feed, ep, read_cols), chain))
         stats = "single-task driver: " + ", ".join(
@@ -733,26 +739,30 @@ def _execute_epoch(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
 
 def _epoch_chain(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
                  ep: Epoch, epoch_no: int, allow_fold: bool,
-                 vers: dict[str, int], image_fields: list) -> list[Step]:
-    """The epoch's stage chain, declared once for both drivers."""
+                 vers: dict[str, int], image_fields: list, *,
+                 task: bool) -> list[Step]:
+    """The epoch's stage chain, declared once for both drivers; `task`
+    picks the single-task driver's shape of the reduce and merge steps."""
     table_ids = feed.table_ids
     chain = [Step("normalize", Normalize(
         image_fields, ep.lo, ep.hi, cfg.ignore_sources, cfg.validate,
         # codecs carry no commit_ts pushdown: Normalize range-filters
         enforce_range=ep.fmt != "parquet", masks=_event_masks(cfg),
         tables=frozenset(vers) if feed.layout.multitable else None))]
-    # combiner + exchange key in one fused pass (hash computed once);
-    # under auto_salt the same pass also measures per-key batch shares and
-    # salts ONLY detected-hot keys (splitter_write.go analog)
-    salt = cfg.auto_salt and cfg.precompact
+    # combiner + exchange key in one fused pass (hash computed once). On
+    # the task the batch is the whole epoch, so the same pass is the exact
+    # final reduce; on the plan, under auto_salt, it also measures per-key
+    # batch shares and salts ONLY detected-hot keys (splitter_write.go
+    # analog)
+    salt = cfg.auto_salt and cfg.precompact and not task
     chain.append(Step("split_combine", lambda t: split_combine(
         t, table_ids, cfg.num_partitions, precompact=cfg.precompact,
         hot_share=AUTO_SALT_SHARE if salt else None,
-        salt_factor=AUTO_SALT_FACTOR, collation=cfg.key_collation)))
+        salt_factor=AUTO_SALT_FACTOR, collation=cfg.key_collation,
+        exact=task)))
     if salt:
         # a (part, salt) pre-reduce collapses a hot key's sub-groups in
         # parallel before the final per-(table, part) merge
-        from ..stages.compact import compact_partition
         chain.append(Step("presalt_reduce", lambda t: compact_partition(
             t.drop_columns(["salt"]), collation=cfg.key_collation),
             ("part", "salt")))
@@ -771,19 +781,42 @@ def _epoch_chain(cfg: ReplayConfig, feed: Changefeed, prev_parts: dict,
         collation=cfg.key_collation)) for t, ver in vers.items()}
     P = cfg.num_partitions
 
+    def local(g: pa.Table, tid: int) -> pa.Table:
+        # the exchange key tid * P + part back to the table's own part
+        if not tid:
+            return g
+        part = g["part"].to_numpy() - np.uint32(tid * P)
+        return g.set_column(g.schema.get_field_index("part"), "part",
+                            pa.array(part))
+
+    def tagged(out: pa.Table, table: str) -> pa.Table:
+        return out.append_column("table", pa.array([table] * out.num_rows))
+
     def merge_apply(g: pa.Table) -> pa.Table:
         # the (table, part) dispatch: key tid * P + part routes the group
         # to its table's MergeApply (registry, schema version, previous
         # chain and data dir all per table) — the per-table sink task
-        tid, part = divmod(int(g["part"][0].as_py()), P)
+        tid = int(g["part"][0].as_py()) // P
         table, merge = merges[tid]
-        if tid:
-            g = g.set_column(g.schema.get_field_index("part"), "part",
-                             pa.array(np.full(g.num_rows, part, np.uint32)))
-        out = merge(g)
-        return out.append_column("table", pa.array([table] * out.num_rows))
+        return tagged(merge(local(g, tid)), table)
 
-    chain.append(Step("merge_apply", merge_apply, ("part",)))
+    def merge_epoch(t: pa.Table) -> pa.Table:
+        # the task's whole epoch, sorted by (part, doc_id): one slice per
+        # table, each merged by its table's MergeApply without a re-reduce
+        if not t.num_rows:
+            return t                     # nothing to merge, no stats rows
+        tids = t["part"].to_numpy() // np.uint32(P)
+        cuts = [0, *(np.flatnonzero(tids[1:] != tids[:-1]) + 1).tolist(),
+                len(tids)]
+        outs = []
+        for a, b in zip(cuts, cuts[1:]):
+            table, merge = merges[int(tids[a])]
+            outs.append(tagged(merge.apply_reduced(
+                local(t.slice(a, b - a), int(tids[a]))), table))
+        return pa.concat_tables(outs)
+
+    chain.append(Step("merge_apply", merge_epoch) if task
+                 else Step("merge_apply", merge_apply, ("part",)))
     return chain
 
 
@@ -812,7 +845,8 @@ def _epoch_task(read: ParquetRead,
     secs = [("read", time.perf_counter() - t0)]
     for step in chain:
         t0 = time.perf_counter()
-        t = step.run(t)
+        assert not step.keys, step.name
+        t = step.fn(t)
         secs.append((step.name, time.perf_counter() - t0))
     return t.to_pylist(), secs
 

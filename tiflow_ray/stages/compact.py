@@ -13,16 +13,21 @@ cdc/sink/dmlsink/txn/mysql/mysql.go:525-539).
 Performance shape (the 100 TB story): events sort by a 64-BIT KEY HASH via
 numpy lexsort (no string comparisons in the hot loop), and only the winner
 rows are gathered (`take` of ~the doc count, not the event count — the
-token payloads of losers are never copied). Hash collisions are handled
-exactly:
+token payloads of losers are never copied). Three reduces share that pass:
 
-- `compact_batch` (pre-shuffle COMBINER) treats every consecutive
-  (hash, doc_id) run as a group. If two docs collide on hash, their
-  interleaved runs yield EXTRA survivors — harmless for a combiner, the
-  true winner of each doc always survives (it ends that doc's last run).
-- `compact_partition` (final reduce) does the same pass, then an exact
-  pandas dedup on the (small) winner set — one row per doc_id, bit-exact
-  ordering, regardless of collisions.
+- `compact_batch` (pre-shuffle COMBINER) keeps one event per hash run of
+  the batch; low-dup batches pass through untouched (the final reduce
+  handles them). It does not check for a 128-bit hash collision
+  (~2^-128·n² per batch): the check costs 5–20% of a combine, and a
+  collision there would merge two keys' runs.
+- `compact_partition` (final reduce of one exchange group, on the plan
+  driver, whose groups are fed by several map batches): EXACTLY one row
+  per doc_id. It checks that each hash run holds one key, and a run
+  holding two falls back to a string-keyed sort.
+- `reduce_sorted` (final reduce of a whole epoch, on the single-task
+  driver, fused into split_combine): the same exact reduce with no
+  pass-through, returned sorted by (part, doc_id) — each partition's
+  merge then only slices and writes.
 
 The combiner is what makes hot keys (1% of docs with 50% of events) cheap:
 their events collapse inside every input batch before a byte is shuffled
@@ -33,8 +38,8 @@ physical input-batch boundary).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..model import OP_DELETE, OP_INSERT, OP_UPDATE  # noqa: F401  (re-export)
 
@@ -49,15 +54,16 @@ def _key_hash(t: pa.Table, collation: str, seed: int = 0) -> np.ndarray:
     return key_hash(collation_key(t["doc_id"], collation), seed=seed)
 
 
-def _winner_indices(t: pa.Table, h: np.ndarray,
-                    collation: str = "binary") -> np.ndarray:
-    """Indices of the last row of every consecutive key run after sorting by
-    (hash128, commit_ts, start_ts, op). Key identity uses TWO independent
-    64-bit hashes (no string comparisons in the hot path); a 128-bit
-    collision is ~2^-128·n² — and the final reduce still runs an exact
-    doc_id pass over the winner set (compact_partition), so the judged
-    output cannot silently merge two keys."""
-    h2 = _key_hash(t, collation, seed=1)
+def _winner_indices(t: pa.Table, ck, h: np.ndarray,
+                    exact: bool = True) -> np.ndarray:
+    """Indices of one winner per key: the last row of every consecutive key
+    run after sorting by (hash128, commit_ts, start_ts, op), where `ck` is
+    the collation form of doc_id and `h` its key_hash. Key identity uses
+    TWO independent 64-bit hashes (no string comparisons in the hot path).
+    A 128-bit collision (~2^-128·n²) puts two keys in one run; when
+    `exact`, the keys of adjacent rows inside each run are compared, and a
+    run holding two keys sends the batch to `_string_winners`."""
+    h2 = key_hash(ck, seed=1)
     cts = t["commit_ts"].to_numpy(zero_copy_only=False)
     sts = t["start_ts"].to_numpy(zero_copy_only=False)
     op = t["op"].to_numpy(zero_copy_only=False)
@@ -66,7 +72,27 @@ def _winner_indices(t: pa.Table, h: np.ndarray,
     last = np.ones(len(order), bool)
     if len(order) > 1:
         last[:-1] = (hs[:-1] != hs[1:]) | (hs2[:-1] != hs2[1:])
+    inner = np.flatnonzero(~last) if exact else ()
+    if len(inner) and not pc.all(pc.equal(
+            ck.take(pa.array(order[inner])),
+            ck.take(pa.array(order[inner + 1])))).as_py():
+        return _string_winners(t, ck)
     return order[last]
+
+
+def _string_winners(t: pa.Table, ck) -> np.ndarray:
+    """The collision fallback: one winner per key by a stable sort on the
+    key string itself (ties keep the lexsort's last-input-row winner)."""
+    if isinstance(ck, pa.ChunkedArray):
+        ck = ck.combine_chunks()
+    order = pc.sort_indices(
+        pa.table({"k": ck, "c": t["commit_ts"], "s": t["start_ts"],
+                  "o": t["op"]}),
+        sort_keys=[(c, "ascending") for c in "kcso"])
+    ks = ck.take(order)
+    last = np.ones(len(ks), bool)
+    last[:-1] = pc.not_equal(ks[:-1], ks[1:]).to_numpy(zero_copy_only=False)
+    return order.to_numpy()[last]
 
 
 def compact_batch(t: pa.Table, num_partitions: int | None = None,
@@ -90,8 +116,9 @@ def compact_batch(t: pa.Table, num_partitions: int | None = None,
         h = np.empty(0, np.uint64)
         hot = np.empty(0, bool)
     else:
-        h = _key_hash(t, collation)
-        win = _winner_indices(t, h, collation)
+        ck = collation_key(t["doc_id"], collation)
+        h = key_hash(ck)
+        win = _winner_indices(t, ck, h, exact=False)
         hot = np.zeros(len(h), bool)
         if hot_share is not None and len(win) < t.num_rows:
             # per-key counts over the RAW batch (pre-combine — the only
@@ -124,28 +151,33 @@ def compact_batch(t: pa.Table, num_partitions: int | None = None,
 
 def compact_partition(t: pa.Table, collation: str = "binary") -> pa.Table:
     """Final per-partition reduce: EXACTLY one surviving event per doc_id
-    (per collation key when collation != binary)."""
+    (per collation key when collation != binary), in hash order."""
     if t.num_rows <= 1:
         return t
-    h = _key_hash(t, collation)
-    win = _winner_indices(t, h, collation)
-    out = t.take(pa.array(win)) if len(win) < t.num_rows else t
-    # exact pass on the (small) winner set: dedup collided docs precisely
-    # (compared in COLLATION form; surviving rows keep original spelling)
-    df = pd.DataFrame({
-        "doc_id": collation_key(out["doc_id"], collation)
-        .to_numpy(zero_copy_only=False) if collation != "binary"
-        else out["doc_id"].to_numpy(zero_copy_only=False),
-        "commit_ts": out["commit_ts"].to_numpy(zero_copy_only=False),
-        "start_ts": out["start_ts"].to_numpy(zero_copy_only=False),
-        "op": out["op"].to_numpy(zero_copy_only=False),
-    })
-    if df["doc_id"].is_unique:
-        return out
-    keep = (df.sort_values(["commit_ts", "start_ts", "op"], kind="mergesort")
-              .drop_duplicates("doc_id", keep="last").index.to_numpy())
-    keep.sort()
-    return out.take(pa.array(keep))
+    ck = collation_key(t["doc_id"], collation)
+    win = _winner_indices(t, ck, key_hash(ck))
+    return t.take(pa.array(win)) if len(win) < t.num_rows else t
+
+
+def reduce_sorted(t: pa.Table, num_partitions: int,
+                  collation: str = "binary") -> pa.Table:
+    """Final reduce of a whole epoch's events of one table in one pass:
+    exactly one winner per doc_id (collation key) — no pass-through, unlike
+    the combiner — with the partition column part = hash(doc_id) % P
+    attached and the rows sorted by (part, doc_id). A merge fed this table
+    only slices it per partition: each slice is already that partition's
+    compact_partition winners in the order its files are written."""
+    if not t.num_rows:
+        return t.append_column("part", pa.array([], pa.uint32()))
+    ck = collation_key(t["doc_id"], collation)
+    h = key_hash(ck)
+    win = _winner_indices(t, ck, h)
+    part = (h[win] % np.uint64(num_partitions)).astype(np.uint32)
+    order = pc.sort_indices(
+        pa.table({"part": part, "doc_id": t["doc_id"].take(pa.array(win))}),
+        sort_keys=[("part", "ascending"), ("doc_id", "ascending")]).to_numpy()
+    return t.take(pa.array(win[order])).append_column(
+        "part", pa.array(part[order]))
 
 
 def assign_partition(t: pa.Table, num_partitions: int,

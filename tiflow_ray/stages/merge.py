@@ -25,6 +25,13 @@ Merge rule per doc_id (REPLACE semantics = DM safe mode, §2.9):
   winner op == INSERT/UPDATE → row := winner image (upsert-on-missing OK)
   no winner → base row survives (cast to the epoch's schema on touch)
 
+Where the final LWW reduce runs depends on the epoch driver. On the Ray
+Data plan several map batches can feed one partition, so each partition's
+group is reduced (compact_partition) and sorted here. On the single-task
+driver the epoch is one batch: split_combine reduces it exactly once and
+sorts it by (part, doc_id) (compact.reduce_sorted), and the merge only
+slices, selects and writes each partition. Both write the same bytes.
+
 Output rows are sorted by doc_id — deterministic files for byte-equality
 judging (SURVEY.md §7 known-hard #7).
 """
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -115,13 +123,30 @@ def fold_part(meta: dict, registry: SchemaRegistry, to_ver: int,
     return base.take(pc.sort_indices(base, sort_keys=[("doc_id", "ascending")]))
 
 
+#: one stats row per merged (table, part) chain, as MergeApply returns it
+STATS_SCHEMA = pa.schema([
+    ("part", pa.int32()), ("checksum", pa.string()), ("path", pa.string()),
+    ("is_delta", pa.bool_()), ("rows", pa.int64()), ("bytes", pa.int64()),
+    ("delta_events", pa.int64()), ("upserts", pa.int64()),
+    ("deletes", pa.int64()), ("schema_ver", pa.int32()),
+    ("watermark_ts", pa.int64())])
+
+
 class MergeApply:
-    """Per-partition merge worker, used as the `map_groups` body of the
-    groupby("part") shuffle. Stateful-ish config (registry, manifest parts,
-    epoch, paths) is small and rides in the closure; the heavy state (base
-    partition / delta chain) is read inside the task from the lake — the
-    actor analog of the reference's per-table dmlWorkers
-    (cdc/sink/dmlsink/cloudstorage/dml_worker.go)."""
+    """One table's merge worker. Stateful-ish config (registry, manifest
+    parts, epoch, paths) is small and rides in the closure; the heavy state
+    (base partition / delta chain) is read inside the task from the lake —
+    the actor analog of the reference's per-table dmlWorkers
+    (cdc/sink/dmlsink/cloudstorage/dml_worker.go). Two entry points, one
+    per epoch driver:
+
+    - `__call__(group)`: the plan driver's `map_groups` body for one
+      partition. Several map batches can feed one group, so it runs the
+      final LWW reduce (compact_partition) and sorts by doc_id itself.
+    - `apply_reduced(t)`: the single-task driver's merge of the table's
+      whole epoch, already reduced exactly and sorted by (part, doc_id)
+      (compact.reduce_sorted); each partition is only sliced, selected and
+      written."""
 
     def __init__(self, *, registry_json: str, prev_parts: dict[str, dict],
                  epoch: int, epoch_ver: int, watermark_ts: int,
@@ -145,8 +170,26 @@ class MergeApply:
 
     def __call__(self, deltas: pa.Table) -> pa.Table:
         part = int(deltas["part"][0].as_py())
-        deltas = deltas.drop_columns(["part"])
-        winners = compact_partition(deltas, collation=self.collation)
+        winners = compact_partition(deltas.drop_columns(["part"]),
+                                    collation=self.collation)
+        return pa.Table.from_pylist([self._merge(part, winners)],
+                                    schema=STATS_SCHEMA)
+
+    def apply_reduced(self, t: pa.Table) -> pa.Table:
+        """Merge one table's epoch of exact winners sorted by (part,
+        doc_id): one slice, and one stats row, per partition."""
+        part = t["part"].to_numpy()
+        t = t.drop_columns(["part"])
+        cuts = [0, *(np.flatnonzero(part[1:] != part[:-1]) + 1).tolist(),
+                len(part)]
+        return pa.Table.from_pylist(
+            [self._merge(int(part[a]), t.slice(a, b - a), doc_sorted=True)
+             for a, b in zip(cuts, cuts[1:])], schema=STATS_SCHEMA)
+
+    def _merge(self, part: int, winners: pa.Table,
+               doc_sorted: bool = False) -> dict:
+        """One partition's winners (≤1 row per doc_id; sorted by doc_id
+        when `doc_sorted`) → its written file and stats row."""
         prev = self.prev_parts.get(str(part), {})
         if self.online_validate and prev:
             verify_chain(prev, part)
@@ -172,24 +215,22 @@ class MergeApply:
             image = [f.name for f in self.registry.schema(self.epoch_ver)]
             keep = DELTA_META_COLS + image
             out = winners.select([c for c in keep if c in winners.column_names])
-            out = out.take(pc.sort_indices(out, sort_keys=[("doc_id", "ascending")]))
+            if not doc_sorted:
+                out = out.take(pc.sort_indices(
+                    out, sort_keys=[("doc_id", "ascending")]))
             path = os.path.join(self.lake_data_dir, f"part={part}",
                                 f"delta-{self.epoch:06d}.parquet")
             _atomic_write(out, path)
-            rows, nbytes = -1, out.nbytes  # live row count unknown without a fold
+            # live row count unknown without a fold; the file's size, not
+            # the in-memory size, which depends on how `out` was sliced
+            rows, nbytes = -1, os.path.getsize(path)
 
         checksum = _file_md5(path) if self.online_validate else ""
-        ups = winners.filter(pc.not_equal(winners["op"], OP_DELETE))
-        return pa.table({
-            "part": pa.array([part], pa.int32()),
-            "checksum": pa.array([checksum]),
-            "path": pa.array([path]),
-            "is_delta": pa.array([not fold]),
-            "rows": pa.array([rows], pa.int64()),
-            "bytes": pa.array([nbytes], pa.int64()),
-            "delta_events": pa.array([winners.num_rows], pa.int64()),
-            "upserts": pa.array([ups.num_rows], pa.int64()),
-            "deletes": pa.array([winners.num_rows - ups.num_rows], pa.int64()),
-            "schema_ver": pa.array([self.epoch_ver], pa.int32()),
-            "watermark_ts": pa.array([self.watermark_ts], pa.int64()),
-        })
+        ups = int(np.count_nonzero(
+            winners["op"].to_numpy(zero_copy_only=False) != OP_DELETE))
+        return {"part": part, "checksum": checksum, "path": path,
+                "is_delta": not fold, "rows": rows, "bytes": nbytes,
+                "delta_events": winners.num_rows, "upserts": ups,
+                "deletes": winners.num_rows - ups,
+                "schema_ver": self.epoch_ver,
+                "watermark_ts": self.watermark_ts}
